@@ -192,8 +192,15 @@ class Parser {
   Result<Json> ParseValue() {
     if (pos_ >= s_.size()) return Err("unexpected end of input");
     char c = s_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxParseDepth) {
+        return Err(StrFormat("nesting deeper than %d", Json::kMaxParseDepth));
+      }
+      ++depth_;
+      auto v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       auto r = ParseString();
       if (!r.ok()) return r.status();
@@ -314,6 +321,7 @@ class Parser {
 
   const std::string& s_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 }  // namespace

@@ -60,6 +60,11 @@ class Json {
   // Compact single-line serialization.
   std::string Dump() const;
 
+  // Arrays and objects nested deeper than kMaxParseDepth parse to
+  // kInvalidArgument. The parser recurses once per level, so the bound is
+  // what keeps a hostile document (e.g. a 16 MiB frame of '[') from
+  // overflowing the stack.
+  static constexpr int kMaxParseDepth = 256;
   static Result<Json> Parse(const std::string& text);
 
  private:

@@ -287,8 +287,8 @@ Result<Json> ShardServer::HandleRestore(const Json& body) {
 
 Result<Json> ShardServer::HandleLoadRepository() {
   SPARKTUNE_RETURN_IF_ERROR(RequireConfigured());
-  // Best-effort, mirroring ServiceSupervisor::MaybeLoadShard: an empty
-  // repository is normal on first boot and must not fail recovery.
+  // Best-effort: an empty repository is normal on first boot and must not
+  // fail recovery, so the load status rides back as data, not an error.
   Status st = config_.repository_dir.empty()
                   ? Status::FailedPrecondition("no repository configured")
                   : service_->LoadRepository();
@@ -340,14 +340,18 @@ Status ServeShard(const std::string& socket_path, ShardServer* server,
         // be framed reliably. The worker itself survives either way.
         break;
       }
-      Json body = Json::Object();
+      // An intact frame with a bad body (malformed JSON, nesting past
+      // Json::kMaxParseDepth, a non-object) gets a typed error reply; the
+      // stream is still in sync, so the connection stays open.
       Json response;
       auto doc = Json::Parse(frame->payload);
       if (doc.ok() && doc->is_object()) {
         response = server->Handle(frame->kind, *doc);
       } else {
         response = ErrorEnvelope(
-            Status::InvalidArgument("request body is not a JSON object"));
+            doc.ok() ? Status::InvalidArgument(
+                           "request body is not a JSON object")
+                     : doc.status());
       }
       const std::string reply = response.Dump();
       Status ws = chaos != nullptr

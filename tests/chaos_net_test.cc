@@ -24,6 +24,7 @@
 #include "net/chaos.h"
 #include "net/client.h"
 #include "net/io.h"
+#include "net/socket.h"
 #include "service/health.h"
 #include "service/process_supervisor.h"
 #include "service/shard_server.h"
@@ -345,6 +346,51 @@ TEST(EpochFence, StaleEpochIsTypedOverTheWire) {
   EXPECT_TRUE(client.Call(net::MsgKind::kExecute, ExecuteBody(5)).ok());
 
   ASSERT_TRUE(client.Call(net::MsgKind::kShutdown, Json::Object()).ok());
+  serving.join();
+}
+
+// A frame with a valid CRC whose JSON payload nests far past
+// Json::kMaxParseDepth (1 MiB of '[') is answered with a typed
+// InvalidArgument envelope; the worker neither overflows its stack nor
+// drops the connection, so the next request on it is served.
+TEST(WireHardening, DeeplyNestedPayloadIsTypedOverTheWire) {
+  const std::string dir = TempDir("deep-wire");
+  const std::string path = dir + "/shard.sock";
+  ShardServer server;
+  // lint:allow(no-raw-thread) ServeShard must run concurrently with its one test client; not pooled work
+  std::thread serving([&] { (void)ServeShard(path, &server); });
+
+  // The retrying client waits out the listener's startup; the raw
+  // connection after it is served next.
+  net::ShardClientOptions copts;
+  copts.socket_path = path;
+  net::ShardClient client(copts);
+  ASSERT_TRUE(client.Connect().ok());
+  client.Disconnect();
+  auto fd = net::UnixConnect(path, /*deadline_ms=*/1000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+  auto exchange = [&](net::MsgKind kind,
+                      const std::string& payload) -> Result<Json> {
+    SPARKTUNE_RETURN_IF_ERROR(
+        net::WriteFrame(fd->get(), kind, payload, /*deadline_ms=*/5000));
+    SPARKTUNE_ASSIGN_OR_RETURN(reply,
+                               net::ReadFrame(fd->get(), /*deadline_ms=*/5000));
+    return Json::Parse(reply.payload);
+  };
+  auto deep = exchange(net::MsgKind::kExecute, std::string(1 << 20, '['));
+  ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_FALSE(deep->GetBoolOr("ok", true));
+  EXPECT_EQ(deep->GetStringOr("code", ""), "InvalidArgument");
+  EXPECT_NE(deep->GetStringOr("message", "").find("nesting"),
+            std::string::npos)
+      << deep->Dump();
+
+  auto ping = exchange(net::MsgKind::kPing, "{}");
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  EXPECT_TRUE(ping->GetBoolOr("ok", false)) << ping->Dump();
+
+  ASSERT_TRUE(exchange(net::MsgKind::kShutdown, "{}").ok());
   serving.join();
 }
 

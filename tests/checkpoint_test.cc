@@ -1,6 +1,7 @@
 // Crash-safe checkpoint/recovery tests (DESIGN.md §7): CRC32 vectors, the
-// framed atomic checkpoint files, the task-checkpoint JSON codec, and the
-// headline property — a kill/restart resumes the identical trajectory.
+// framed atomic checkpoint files, the task-checkpoint JSON codec, the
+// automatic checkpoint cadence, and the headline property — a kill/restart
+// resumes the identical trajectory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -598,7 +599,7 @@ TEST(CheckpointRecoveryTest, RestoreAfterMetaWindowWraparound) {
   }
 }
 
-// Restore after a handoff re-attaches the meta-surrogate against the same
+// Restore after a restart re-attaches the meta-surrogate against the same
 // knowledge base: with harvested tasks reloaded from the repository, the
 // revived trajectory stays bit-identical to the undisturbed one.
 TEST(CheckpointRecoveryTest, RestoreReattachesMetaSurrogates) {
@@ -674,6 +675,59 @@ TEST(CheckpointRecoveryTest, RestoreReattachesMetaSurrogates) {
     EXPECT_EQ(got[i]->objective, want[i]->objective) << "period " << i;
     EXPECT_EQ(got[i]->failure, want[i]->failure) << "period " << i;
   }
+}
+
+TEST(AutoCheckpointTest, PeriodCadenceWritesCheckpoints) {
+  Fixture f;
+  const std::string dir = TempDir("cadence");
+  TuningServiceOptions opts;
+  opts.tuner.budget = 10;
+  opts.tuner.ei_stop_threshold = 0.0;
+  opts.tuner.advisor.expert_ranking = ExpertParameterRanking();
+  opts.repository_dir = dir;
+  opts.auto_checkpoint_periods = 3;
+  TuningService service(&f.space, opts);
+  auto w = HiBenchTask("WordCount");
+  ASSERT_TRUE(w.ok());
+  SimulatorEvaluatorOptions eopts;
+  eopts.seed = 3;
+  SimulatorEvaluator eval(&f.space, *w, f.cluster, DriftModel::Diurnal(),
+                          eopts);
+  ASSERT_TRUE(service.RegisterTask("wc", &eval).ok());
+
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(service.ExecutePeriodic("wc").ok());
+  }
+  // Cadence 3 over 10 periods: checkpoints at periods 3, 6, 9.
+  EXPECT_EQ(service.auto_checkpoints(), 3);
+  DataRepository repo(dir);
+  EXPECT_TRUE(repo.HasCheckpoint("wc"));
+}
+
+TEST(AutoCheckpointTest, PhaseTransitionTriggersCheckpoint) {
+  Fixture f;
+  TuningServiceOptions opts;
+  opts.tuner.budget = 10;
+  opts.tuner.ei_stop_threshold = 0.0;
+  opts.tuner.advisor.expert_ranking = ExpertParameterRanking();
+  opts.repository_dir = TempDir("phase");
+  opts.auto_checkpoint_periods = 0;  // only phase transitions trigger
+  opts.checkpoint_on_phase_change = true;
+  TuningService service(&f.space, opts);
+  auto w = HiBenchTask("WordCount");
+  ASSERT_TRUE(w.ok());
+  SimulatorEvaluatorOptions eopts;
+  eopts.seed = 3;
+  SimulatorEvaluator eval(&f.space, *w, f.cluster, DriftModel::Diurnal(),
+                          eopts);
+  ASSERT_TRUE(service.RegisterTask("wc", &eval).ok());
+
+  // Budget 10: baseline -> tuning after period 1, tuning -> applying after
+  // period 11. Both transitions snapshot the phase machine.
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(service.ExecutePeriodic("wc").ok());
+  }
+  EXPECT_GE(service.auto_checkpoints(), 2);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the minimal JSON reader/writer used by the data repository.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/json.h"
 
 namespace sparktune {
@@ -103,6 +105,43 @@ TEST(JsonTest, NonFiniteNumbersSerializeAsNull) {
 TEST(JsonTest, LargeIntegersKeepPrecision) {
   Json n = Json::Number(123456789012.0);
   EXPECT_EQ(n.Dump(), "123456789012");
+}
+
+// The parser recurses once per array/object level, so depth is bounded:
+// past Json::kMaxParseDepth the answer is a typed kInvalidArgument instead
+// of a stack overflow, however large the input.
+TEST(JsonTest, NestingPastTheDepthLimitIsInvalidArgument) {
+  auto arrays = Json::Parse(std::string(1000000, '['));
+  ASSERT_FALSE(arrays.ok());
+  EXPECT_EQ(arrays.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(arrays.status().message().find("nesting"), std::string::npos)
+      << arrays.status().ToString();
+
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  auto chain = Json::Parse(objects);
+  ASSERT_FALSE(chain.ok());
+  EXPECT_EQ(chain.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(chain.status().message().find("nesting"), std::string::npos)
+      << chain.status().ToString();
+}
+
+TEST(JsonTest, NestingExactlyAtTheDepthLimitParses) {
+  const int depth = Json::kMaxParseDepth;
+  const std::string at_limit =
+      std::string(depth, '[') + std::string(depth, ']');
+  auto arrays = Json::Parse(at_limit);
+  ASSERT_TRUE(arrays.ok()) << arrays.status().ToString();
+  EXPECT_EQ(arrays->Dump(), at_limit);
+  EXPECT_EQ(Json::Parse("[" + at_limit + "]").status().code(),
+            Status::Code::kInvalidArgument);
+
+  std::string objects;
+  for (int i = 0; i < depth - 1; ++i) objects += "{\"a\":";
+  objects += "{}" + std::string(depth - 1, '}');
+  auto chain = Json::Parse(objects);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain->Dump(), objects);
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // hardening (torn/bit-flipped/oversized frames decode to typed errors,
 // never crash or over-read — run under ASan/UBSan via the sanitizer
 // matrix), the RetryPolicy-pinned reconnect schedule, socket deadline
-// behavior, the ShardServer dispatcher, and the headline property — a
-// fleet driven over real sockets through real SIGKILLed-and-respawned
-// worker processes delivers a per-task trajectory bit-identical to an
-// undisturbed in-process TuningService run, at nt=1 and nt=4.
+// behavior, the ShardServer dispatcher, golden rendezvous placement,
+// fleet-wide checkpoint aggregation, and the headline property — a
+// fault-injected fleet driven over real sockets through real
+// SIGKILLed-and-respawned worker processes delivers a per-task trajectory
+// bit-identical to an undisturbed in-process TuningService run, at nt=1
+// and nt=4.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -21,6 +23,7 @@
 #include "net/frame.h"
 #include "net/io.h"
 #include "net/socket.h"
+#include "service/placement.h"
 #include "service/process_supervisor.h"
 #include "service/shard_server.h"
 #include "service/wire.h"
@@ -622,6 +625,9 @@ struct FleetSpec {
   std::vector<SimTaskSpec> specs;
 };
 
+// Every task runs under seeded evaluator faults (crashes, transient
+// errors, hangs, corrupt event logs), so the oracle comparisons below also
+// cover watchdog backoff slots and degraded observations across recovery.
 FleetSpec MakeFleet(int tasks) {
   const char* kWorkloads[] = {"WordCount", "Sort", "TeraSort", "Join"};
   FleetSpec fleet;
@@ -629,6 +635,11 @@ FleetSpec MakeFleet(int tasks) {
     SimTaskSpec spec;
     spec.workload = kWorkloads[i % 4];
     spec.seed = 500 + static_cast<uint64_t>(i);
+    spec.faults.seed = 101 + static_cast<uint64_t>(i);
+    spec.faults.crash_prob = 0.12;
+    spec.faults.transient_error_prob = 0.08;
+    spec.faults.hang_prob = 0.06;
+    spec.faults.corrupt_log_prob = 0.06;
     fleet.ids.push_back("rpc-task-" + std::to_string(i));
     fleet.specs.push_back(spec);
   }
@@ -641,7 +652,7 @@ FleetSpec MakeFleet(int tasks) {
 // undisturbed in-process oracle's observation for the same period index.
 void RunProcessEquivalence(const std::string& tag, int threads,
                            bool with_repo, int kill_tick, int restart_tick) {
-  const int kShards = 2, kTasks = 4, kTicks = 7;
+  const int kShards = 2, kTasks = 4, kTicks = 30;
   ProcessSupervisorOptions options;
   options.shardd_path = SPARKTUNE_SHARDD_PATH;
   options.socket_dir = TempDir("sock-" + tag);
@@ -676,6 +687,7 @@ void RunProcessEquivalence(const std::string& tag, int threads,
 
   int killed = -1;
   long long compared = 0;
+  long long faulted = 0;  // compared slots the evaluator faults touched
   for (int t = 1; t <= kTicks; ++t) {
     if (t == kill_tick) {
       std::vector<int> load(kShards, 0);
@@ -710,10 +722,12 @@ void RunProcessEquivalence(const std::string& tag, int threads,
       }
       Result<Observation> want = oracle.ExecutePeriodic(fleet.ids[i]);
       ++compared;
+      if (!want.ok() || want->failed() || want->degraded) ++faulted;
       ExpectSameSlot(slots[i], want, fleet.ids[i], before[i]);
     }
   }
   EXPECT_GT(compared, 0);
+  EXPECT_GT(faulted, 0);
   if (kill_tick > 0) {
     EXPECT_EQ(supervisor.stats().kills, 1);
     EXPECT_EQ(supervisor.stats().restarts, 1);
@@ -737,15 +751,15 @@ TEST(ProcessService, UndisturbedRunMatchesOracleFourThreads) {
 }
 
 TEST(ProcessService, SigkillRecoveryIsBitIdenticalSingleThread) {
-  RunProcessEquivalence("chaos-nt1", 1, true, 3, 5);
+  RunProcessEquivalence("chaos-nt1", 1, true, 10, 20);
 }
 
 TEST(ProcessService, SigkillRecoveryIsBitIdenticalFourThreads) {
-  RunProcessEquivalence("chaos-nt4", 4, true, 3, 5);
+  RunProcessEquivalence("chaos-nt4", 4, true, 10, 20);
 }
 
 TEST(ProcessService, SigkillWithoutRepositoryReplaysFromScratch) {
-  RunProcessEquivalence("chaos-norepo", 1, false, 3, 5);
+  RunProcessEquivalence("chaos-norepo", 1, false, 8, 12);
 }
 
 TEST(ProcessService, DownedShardDegradesToTypedUnavailableWithinDeadline) {
@@ -767,6 +781,8 @@ TEST(ProcessService, DownedShardDegradesToTypedUnavailableWithinDeadline) {
   // the tick must return promptly — parked requests never hang.
   ASSERT_TRUE(supervisor.KillShard(0).ok());
   ASSERT_TRUE(supervisor.KillShard(1).ok());
+  EXPECT_EQ(supervisor.KillShard(1).code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(supervisor.KillShard(7).code(), Status::Code::kInvalidArgument);
   const int64_t start = net::MonotonicMs();
   std::vector<Result<Observation>> slots = supervisor.Tick();
   EXPECT_LT(net::MonotonicMs() - start, 10000);
@@ -787,11 +803,66 @@ TEST(ProcessService, DownedShardDegradesToTypedUnavailableWithinDeadline) {
   // Recovery brings every task back.
   ASSERT_TRUE(supervisor.RestartShard(0).ok());
   ASSERT_TRUE(supervisor.RestartShard(1).ok());
+  EXPECT_EQ(supervisor.RestartShard(1).code(),
+            Status::Code::kFailedPrecondition);
+  EXPECT_EQ(supervisor.num_live_shards(), 2);
+  EXPECT_EQ(supervisor.stats().kills, 2);
+  EXPECT_EQ(supervisor.stats().restarts, 2);
   slots = supervisor.Tick();
   for (size_t i = 0; i < slots.size(); ++i) {
     EXPECT_EQ(supervisor.periods(fleet.ids[i]), 2) << i;
   }
   EXPECT_TRUE(supervisor.Shutdown().ok());
+}
+
+TEST(ProcessService, CheckpointAllAggregatesAndSkipsUnchanged) {
+  ProcessSupervisorOptions options;
+  options.shardd_path = SPARKTUNE_SHARDD_PATH;
+  options.socket_dir = TempDir("sock-ckpt-all");
+  options.num_shards = 2;
+  options.service = TestConfig(TempDir("repo-ckpt-all"));  // manual only
+  ProcessSupervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  FleetSpec fleet = MakeFleet(3);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(supervisor.RegisterTask(fleet.ids[i], fleet.specs[i]).ok());
+    EXPECT_EQ(supervisor.shard_of(fleet.ids[i]),
+              placement::Rendezvous(fleet.ids[i], 2));
+  }
+  EXPECT_EQ(supervisor.RegisterTask(fleet.ids[0], fleet.specs[0]).code(),
+            Status::Code::kInvalidArgument);
+  for (int t = 0; t < 5; ++t) (void)supervisor.Tick();
+
+  // Both shards' reports fold into one.
+  CheckpointReport first = supervisor.CheckpointAll();
+  EXPECT_TRUE(first.ok());
+  EXPECT_EQ(first.written, 3);
+  EXPECT_EQ(first.skipped, 0);
+  // No periods elapsed since: the second pass skips every task.
+  CheckpointReport second = supervisor.CheckpointAll();
+  EXPECT_TRUE(second.ok());
+  EXPECT_EQ(second.written, 0);
+  EXPECT_EQ(second.skipped, 3);
+  EXPECT_TRUE(supervisor.Shutdown().ok());
+}
+
+// placement.h promises the same home shard for an id on every platform and
+// standard library; these indices pin the FNV-1a + splitmix64 scoring.
+TEST(Placement, RendezvousMatchesGoldenShards) {
+  struct Golden {
+    const char* id;
+    int n2, n4;
+  };
+  const Golden kGolden[] = {
+      {"etl-hourly", 1, 1},  {"report:daily", 1, 3}, {"wc", 0, 0},
+      {"ts", 0, 3},          {"kmeans", 0, 2},       {"a", 1, 2},
+  };
+  for (const Golden& g : kGolden) {
+    EXPECT_EQ(placement::Rendezvous(g.id, 2), g.n2) << g.id;
+    EXPECT_EQ(placement::Rendezvous(g.id, 4), g.n4) << g.id;
+  }
+  EXPECT_EQ(placement::Rendezvous("any", 1), 0);
+  EXPECT_EQ(placement::Rendezvous("any", 0), -1);
 }
 
 TEST(ProcessService, FetchSuggestionTravelsTheWire) {

@@ -25,11 +25,14 @@ void BestSplitForFeature(const std::vector<std::vector<double>>& x,
                          const std::vector<int>& indices, int feature,
                          int min_leaf, SplitResult* best) {
   size_t n = indices.size();
-  // Sort index order by feature value.
+  // Sort index order by (feature value, row index). Breaking ties on the
+  // row index pins the order the prefix sums below accumulate in; a plain
+  // value sort leaves equal values in an unspecified order.
   std::vector<int> order(indices);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return x[static_cast<size_t>(a)][static_cast<size_t>(feature)] <
-           x[static_cast<size_t>(b)][static_cast<size_t>(feature)];
+    const double va = x[static_cast<size_t>(a)][static_cast<size_t>(feature)];
+    const double vb = x[static_cast<size_t>(b)][static_cast<size_t>(feature)];
+    return va < vb || (!(vb < va) && a < b);
   });
   // Prefix sums of y and y^2 in sorted order.
   double total_sum = 0.0, total_sq = 0.0;

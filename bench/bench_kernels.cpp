@@ -1,9 +1,16 @@
 // Hot-kernel microbenchmarks with built-in bit-equality self-checks: each
-// kernel the single-node speed push optimized (panelled upper solve,
-// register-tiled SYRK factorization, columnar MixedKernel batch rows,
-// parallel meta-feature extraction) is timed against its naive reference
+// optimized kernel (panelled upper solve, register-tiled SYRK
+// factorization, columnar MixedKernel batch rows, parallel meta-feature
+// extraction, presorted tree fits) is timed against its naive reference
 // loop and verified bit-for-bit against it — the determinism invariant is
 // part of the benchmark contract, not a separate test.
+//
+// The tree kernels time the presorted CART builder against the
+// sort-per-node reference (tests/reference_tree.h) and compare every node:
+// tree_fit is the similarity model's GBDT (150 rounds, depth 4) on
+// symmetrized pair features of 16 tasks (272 rows x 225 heavily tied
+// features); forest_fit is a bagged forest on tied data with duplicate
+// bootstrap rows and feature subsampling. Self-check mode shrinks both.
 //
 // Outputs a table and BENCH_kernels.json (schema self-checked before the
 // write, like BENCH_fleet.json).
@@ -27,10 +34,14 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "forest/gbdt.h"
+#include "forest/random_forest.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "meta/meta_features.h"
+#include "meta/similarity.h"
 #include "model/kernel.h"
+#include "reference_tree.h"
 #include "sparksim/event_log.h"
 
 using namespace sparktune;
@@ -282,6 +293,90 @@ KernelRow BenchMetaExtract(size_t num_logs, int threads, int reps) {
   return row;
 }
 
+// The similarity model's training set for `tasks` tasks: one self-pair per
+// task plus every cross-pair, each in both orderings, as [a, b, |a-b|] over
+// 75 meta-features. Each task's features repeat across its pairs, so every
+// column is heavily tied; labels are quantized like Kendall distances.
+void SimilarityTrainingSet(int tasks, std::vector<std::vector<double>>* x,
+                           std::vector<double>* y) {
+  constexpr size_t kMeta = 75;
+  Rng rng(1506);
+  std::vector<std::vector<double>> meta(static_cast<size_t>(tasks));
+  for (auto& m : meta) {
+    m.resize(kMeta);
+    for (double& v : m) v = rng.Uniform();
+  }
+  auto add = [&](const std::vector<double>& a, const std::vector<double>& b,
+                 double d) {
+    std::vector<double> row(a);
+    row.insert(row.end(), b.begin(), b.end());
+    for (size_t k = 0; k < kMeta; ++k) row.push_back(std::fabs(a[k] - b[k]));
+    x->push_back(std::move(row));
+    y->push_back(d);
+  };
+  for (const auto& m : meta) {
+    add(m, m, 0.0);
+    add(m, m, 0.0);
+  }
+  for (size_t i = 0; i + 1 < meta.size(); ++i) {
+    for (size_t j = i + 1; j < meta.size(); ++j) {
+      double d = std::round(64.0 * std::fabs(meta[i][0] - meta[j][0] +
+                                             0.3 * rng.Normal())) / 64.0;
+      add(meta[i], meta[j], d);
+      add(meta[j], meta[i], d);
+    }
+  }
+}
+
+KernelRow BenchTreeFit(int tasks, int rounds, int reps) {
+  KernelRow row{"tree_fit"};
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  SimilarityTrainingSet(tasks, &x, &y);
+  GbdtOptions opts = SimilarityModelOptions{}.gbdt;
+  opts.num_rounds = rounds;
+  std::vector<reference::Nodes> naive;
+  row.naive_ms = TimeMs(reps, [&] {
+    naive = reference::FitGbdt(opts, x, y);
+    g_sink += naive[0][0].value;
+  });
+  GbdtRegressor fast(opts);
+  bool fast_ok = true;
+  row.fast_ms = TimeMs(reps, [&] {
+    fast_ok = fast.Fit(x, y).ok();
+    g_sink += fast.base_prediction();
+  });
+  row.bit_identical = fast_ok && reference::SameTrees(fast.trees(), naive);
+  return row;
+}
+
+KernelRow BenchForestFit(size_t n, int threads, int reps) {
+  KernelRow row{"forest_fit"};
+  Rng rng(5150);
+  std::vector<std::vector<double>> x(n, std::vector<double>(24));
+  std::vector<double> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (double& v : x[i]) v = std::floor(rng.Uniform() * 5.0);
+    y[i] = x[i][0] * x[i][1] + rng.Normal();
+  }
+  ForestOptions opts;
+  opts.num_trees = 16;
+  opts.num_threads = threads;
+  std::vector<reference::Nodes> naive;
+  row.naive_ms = TimeMs(reps, [&] {
+    naive = reference::FitForest(opts, x, y);
+    g_sink += naive[0][0].value;
+  });
+  RandomForest fast(opts);
+  bool fast_ok = true;
+  row.fast_ms = TimeMs(reps, [&] {
+    fast_ok = fast.Fit(x, y).ok();
+    g_sink += fast.trees()[0].nodes()[0].value;
+  });
+  row.bit_identical = fast_ok && reference::SameTrees(fast.trees(), naive);
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,6 +402,9 @@ int main(int argc, char** argv) {
   rows.push_back(BenchSyrkFactor(n, threads, reps));
   rows.push_back(BenchKernelBatch(n, m, reps));
   rows.push_back(BenchMetaExtract(num_logs, threads, reps));
+  rows.push_back(self_check ? BenchTreeFit(6, 20, reps)
+                            : BenchTreeFit(16, 150, reps));
+  rows.push_back(BenchForestFit(n, threads, reps));
 
   std::printf("bench_kernels: n=%zu m=%zu logs=%zu threads=%d reps=%d\n\n",
               n, m, num_logs, threads, reps);

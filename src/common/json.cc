@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -256,20 +257,9 @@ class Parser {
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'u': {
-            if (pos_ + 4 > s_.size()) return Err("bad \\u escape");
-            unsigned code = std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
-            pos_ += 4;
-            // We only emit ASCII control escapes; decode BMP to UTF-8.
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
+            auto code = ParseUnicodeEscape();
+            if (!code.ok()) return code.status();
+            AppendUtf8(*code, &out);
             break;
           }
           default:
@@ -280,6 +270,68 @@ class Parser {
       }
     }
     return Err("unterminated string");
+  }
+
+  // The four hex digits of a unicode escape.
+  Result<uint32_t> ParseHex4() {
+    if (pos_ + 4 > s_.size()) return Err("bad \\u escape");
+    uint32_t code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = s_[pos_];
+      uint32_t digit;
+      if (c >= '0' && c <= '9') {
+        digit = static_cast<uint32_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        digit = static_cast<uint32_t>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        digit = static_cast<uint32_t>(c - 'A' + 10);
+      } else {
+        return Err("non-hex digit in \\u escape");
+      }
+      code = code * 16 + digit;
+      ++pos_;
+    }
+    return code;
+  }
+
+  // The code point of a unicode escape whose backslash-u is consumed. A
+  // high surrogate must be followed by an escaped low surrogate; the pair
+  // decodes to one supplementary code point. Lone surrogates are errors.
+  Result<uint32_t> ParseUnicodeEscape() {
+    auto high = ParseHex4();
+    if (!high.ok()) return high;
+    if (*high >= 0xDC00 && *high <= 0xDFFF) {
+      return Err("unpaired low surrogate in \\u escape");
+    }
+    if (*high < 0xD800 || *high > 0xDBFF) return high;
+    if (s_.compare(pos_, 2, "\\u") != 0) {
+      return Err("unpaired high surrogate in \\u escape");
+    }
+    pos_ += 2;
+    auto low = ParseHex4();
+    if (!low.ok()) return low;
+    if (*low < 0xDC00 || *low > 0xDFFF) {
+      return Err("unpaired high surrogate in \\u escape");
+    }
+    return 0x10000 + ((*high - 0xD800) << 10) + (*low - 0xDC00);
+  }
+
+  static void AppendUtf8(uint32_t code, std::string* out) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
   }
 
   Result<Json> ParseArray() {

@@ -17,6 +17,9 @@ Status GbdtRegressor::Fit(const std::vector<std::vector<double>>& x,
   if (x.empty() || x.size() != y.size()) {
     return Status::InvalidArgument("gbdt needs matching non-empty X and y");
   }
+  // One presort serves every round: rounds change only the targets and
+  // the row subsample.
+  SPARKTUNE_ASSIGN_OR_RETURN(sorted, SortedFeatures::Build(x));
   trees_.clear();
   base_ = Mean(y);
   std::vector<double> pred(y.size(), base_);
@@ -36,7 +39,7 @@ Status GbdtRegressor::Fit(const std::vector<std::vector<double>>& x,
       sample = round_rng.SampleWithoutReplacement(n, sub_n);
     }
     RegressionTree tree(options_.tree);
-    SPARKTUNE_RETURN_IF_ERROR(tree.Fit(x, residual, sample, &round_rng));
+    SPARKTUNE_RETURN_IF_ERROR(tree.Fit(sorted, residual, sample, &round_rng));
     // Each row owns its slot, so refreshing the training predictions in
     // parallel is bit-identical to the serial loop.
     ParallelFor(options_.num_threads, y.size(), [&](size_t i) {

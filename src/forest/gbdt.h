@@ -44,6 +44,7 @@ class GbdtRegressor {
 
   int num_trees() const { return static_cast<int>(trees_.size()); }
   double base_prediction() const { return base_; }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
 
  private:
   GbdtOptions options_;

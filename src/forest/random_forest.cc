@@ -14,6 +14,9 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   if (x.empty() || x.size() != y.size()) {
     return Status::InvalidArgument("forest needs matching non-empty X and y");
   }
+  // One presort serves every tree; trees differ only in their bootstrap
+  // sample and feature draws.
+  SPARKTUNE_ASSIGN_OR_RETURN(sorted, SortedFeatures::Build(x));
   n_obs_ = x.size();
   int nf = static_cast<int>(x[0].size());
   int max_features;
@@ -31,8 +34,9 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   topts.max_features = max_features < nf ? max_features : -1;
 
   // Fork every tree's RNG serially off the master stream (identical order
-  // to the serial loop), then fit trees concurrently: bootstrap draws and
-  // feature subsampling read only the tree's own stream.
+  // to the serial loop), then fit trees concurrently over the shared
+  // presort: bootstrap draws and feature subsampling read only the tree's
+  // own stream.
   size_t num_trees = static_cast<size_t>(options_.num_trees);
   std::vector<Rng> tree_rngs = ForkRngs(&rng, num_trees);
   std::vector<RegressionTree> trees(num_trees, RegressionTree(topts));
@@ -43,7 +47,7 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
     for (auto& s : sample) {
       s = static_cast<int>(tree_rng.UniformInt(0, n - 1));
     }
-    statuses[t] = trees[t].Fit(x, y, sample, &tree_rng);
+    statuses[t] = trees[t].Fit(sorted, y, sample, &tree_rng);
   });
   trees_.clear();
   for (const Status& st : statuses) {

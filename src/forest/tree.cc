@@ -2,74 +2,274 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 namespace sparktune {
 
-RegressionTree::RegressionTree(TreeOptions options) : options_(options) {}
-
 namespace {
 
-struct SplitResult {
-  bool found = false;
-  int feature = -1;
-  double threshold = 0.0;
-  double score = std::numeric_limits<double>::infinity();  // weighted SSE
-};
-
-// Best split for one feature by exhaustive scan of sorted unique midpoints.
-void BestSplitForFeature(const std::vector<std::vector<double>>& x,
-                         const std::vector<double>& y,
-                         const std::vector<int>& indices, int feature,
-                         int min_leaf, SplitResult* best) {
-  size_t n = indices.size();
-  // Sort index order by (feature value, row index). Breaking ties on the
-  // row index pins the order the prefix sums below accumulate in; a plain
-  // value sort leaves equal values in an unspecified order.
-  std::vector<int> order(indices);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double va = x[static_cast<size_t>(a)][static_cast<size_t>(feature)];
-    const double vb = x[static_cast<size_t>(b)][static_cast<size_t>(feature)];
-    return va < vb || (!(vb < va) && a < b);
-  });
-  // Prefix sums of y and y^2 in sorted order.
-  double total_sum = 0.0, total_sq = 0.0;
-  for (int i : order) {
-    total_sum += y[static_cast<size_t>(i)];
-    total_sq += y[static_cast<size_t>(i)] * y[static_cast<size_t>(i)];
-  }
-  double left_sum = 0.0, left_sq = 0.0;
-  for (size_t k = 0; k + 1 < n; ++k) {
-    double yi = y[static_cast<size_t>(order[k])];
-    left_sum += yi;
-    left_sq += yi * yi;
-    double xv = x[static_cast<size_t>(order[k])][static_cast<size_t>(feature)];
-    double xn =
-        x[static_cast<size_t>(order[k + 1])][static_cast<size_t>(feature)];
-    if (xn <= xv) continue;  // same value, no valid threshold
-    size_t nl = k + 1, nr = n - nl;
-    if (nl < static_cast<size_t>(min_leaf) ||
-        nr < static_cast<size_t>(min_leaf)) {
-      continue;
-    }
-    double right_sum = total_sum - left_sum;
-    double right_sq = total_sq - left_sq;
-    double sse_left = left_sq - left_sum * left_sum / static_cast<double>(nl);
-    double sse_right =
-        right_sq - right_sum * right_sum / static_cast<double>(nr);
-    double score = sse_left + sse_right;
-    if (score < best->score - 1e-15) {
-      best->found = true;
-      best->feature = feature;
-      best->threshold = 0.5 * (xv + xn);
-      best->score = score;
+template <typename Index>
+SortedFeatures::Columns<Index> SortColumns(
+    const std::vector<std::vector<double>>& x, size_t features) {
+  const size_t rows = x.size();
+  SortedFeatures::Columns<Index> cols;
+  cols.order.resize(rows * features);
+  cols.rank.resize(rows * features);
+  std::vector<double> column(rows);
+  for (size_t f = 0; f < features; ++f) {
+    for (size_t r = 0; r < rows; ++r) column[r] = x[r][f];
+    Index* order = cols.order.data() + f * rows;
+    std::iota(order, order + rows, Index{0});
+    std::sort(order, order + rows, [&](Index a, Index b) {
+      return column[a] < column[b] || (!(column[b] < column[a]) && a < b);
+    });
+    // A new rank wherever the split scan could place a threshold.
+    Index* rank = cols.rank.data() + f * rows;
+    Index current = 0;
+    rank[order[0]] = current;
+    for (size_t k = 1; k < rows; ++k) {
+      if (column[order[k]] > column[order[k - 1]]) ++current;
+      rank[order[k]] = current;
     }
   }
+  return cols;
 }
 
 }  // namespace
+
+Result<SortedFeatures> SortedFeatures::Build(
+    const std::vector<std::vector<double>>& x) {
+  if (x.empty()) return Status::InvalidArgument("tree needs at least one row");
+  if (x.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("tree rows exceed 32-bit row ids");
+  }
+  SortedFeatures s;
+  s.x_ = &x;
+  s.rows_ = x.size();
+  s.features_ = x[0].size();
+  for (const auto& row : x) {
+    if (row.size() != s.features_) {
+      return Status::InvalidArgument("tree rows differ in width");
+    }
+  }
+  if (s.rows_ <= std::numeric_limits<uint16_t>::max()) {
+    s.columns_ = SortColumns<uint16_t>(x, s.features_);
+  } else {
+    s.columns_ = SortColumns<uint32_t>(x, s.features_);
+  }
+  return s;
+}
+
+// One tree's working state. cols_ holds, per feature, the sample's rows in
+// (value, row) order (feature-major, m_ entries each, a row repeated once
+// per occurrence in the sample); samples_ holds the sample in its given
+// order, which fixes each node's sum order. A node owns the range
+// [begin, end) of every one of these arrays, and splitting a node stably
+// partitions its range in each, so both children's ranges stay sorted.
+// Index is the presort's row-id type.
+template <typename Index>
+class RegressionTree::Builder {
+ public:
+  Builder(RegressionTree* tree, const SortedFeatures& sorted,
+          const SortedFeatures::Columns<Index>& columns,
+          const std::vector<double>& y, const std::vector<int>& sample,
+          Rng* rng)
+      : tree_(tree),
+        options_(tree->options_),
+        x_(sorted.x()),
+        y_(y),
+        rng_(rng),
+        rows_(sorted.num_rows()),
+        nf_(sorted.num_features()),
+        rank_(columns.rank),
+        go_left_(rows_, 0) {
+    if (sample.empty()) {
+      m_ = rows_;
+      samples_.resize(rows_);
+      std::iota(samples_.begin(), samples_.end(), Index{0});
+      cols_ = columns.order;
+    } else {
+      m_ = sample.size();
+      std::vector<uint32_t> count(rows_, 0);
+      samples_.reserve(m_);
+      for (int s : sample) {
+        ++count[static_cast<size_t>(s)];
+        samples_.push_back(static_cast<Index>(s));
+      }
+      // Each row is written twice unconditionally and the cursor advances
+      // by its count: sample counts are mostly 0, 1 or 2 and vary row to
+      // row, so a count-driven loop mispredicts on most rows. A write past
+      // the row's copies is overwritten by the next row, or lands in the
+      // next feature's segment before that is filled, or in the slack.
+      cols_.resize(nf_ * m_ + 2);
+      for (size_t f = 0; f < nf_; ++f) {
+        const Index* order = columns.order.data() + f * rows_;
+        Index* out = cols_.data() + f * m_;
+        for (size_t k = 0; k < rows_; ++k) {
+          const Index r = order[k];
+          const uint32_t c = count[r];
+          out[0] = r;
+          out[1] = r;
+          if (c > 2) std::fill_n(out + 2, c - 2, r);
+          out += c;
+        }
+      }
+    }
+    scratch_.resize(m_);
+  }
+
+  size_t sample_size() const { return m_; }
+
+  // Grows the subtree over [begin, end) in preorder (node, left subtree,
+  // right subtree), which fixes the node numbering and the order in which
+  // feature subsets are drawn from the Rng.
+  int Build(size_t begin, size_t end, int depth) {
+    std::vector<Node>& nodes = tree_->nodes_;
+    int node_id = static_cast<int>(nodes.size());
+    nodes.emplace_back();
+    const size_t n = end - begin;
+    double sum = 0.0, sq = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      double yi = y_[samples_[i]];
+      sum += yi;
+      sq += yi * yi;
+    }
+    double mean = sum / static_cast<double>(n);
+    double node_sse = sq - sum * mean;
+    nodes[static_cast<size_t>(node_id)].value = mean;
+    nodes[static_cast<size_t>(node_id)].num_samples = static_cast<int>(n);
+    if (!Splittable(n, depth)) return node_id;
+
+    std::vector<int> features;
+    int nf = static_cast<int>(nf_);
+    if (options_.max_features > 0 && options_.max_features < nf) {
+      features = rng_->SampleWithoutReplacement(nf, options_.max_features);
+    } else {
+      features.resize(nf_);
+      std::iota(features.begin(), features.end(), 0);
+    }
+    Split best;
+    for (int f : features) {
+      ScanFeature(static_cast<size_t>(f), begin, end, &best);
+    }
+    if (!best.found) return node_id;
+
+    const size_t bf = static_cast<size_t>(best.feature);
+    size_t nl = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Index r = samples_[i];
+      const bool left = x_[r][bf] <= best.threshold;
+      go_left_[r] = left;
+      nl += left;
+    }
+    if (nl == 0 || nl == n) return node_id;
+    Partition(samples_.data() + begin, n);
+    // Children that will not split never read their feature ranges.
+    if (Splittable(nl, depth + 1) || Splittable(n - nl, depth + 1)) {
+      for (size_t f = 0; f < nf_; ++f) {
+        Partition(cols_.data() + f * m_ + begin, n);
+      }
+    }
+
+    int left = Build(begin, begin + nl, depth + 1);
+    int right = Build(begin + nl, end, depth + 1);
+    Node& node = nodes[static_cast<size_t>(node_id)];
+    node.is_leaf = false;
+    node.feature = best.feature;
+    node.threshold = best.threshold;
+    node.left = left;
+    node.right = right;
+    node.impurity_decrease = std::max(0.0, node_sse - best.score);
+    return node_id;
+  }
+
+ private:
+  struct Split {
+    bool found = false;
+    int feature = -1;
+    double threshold = 0.0;
+    double score = std::numeric_limits<double>::infinity();  // weighted SSE
+  };
+
+  bool Splittable(size_t n, int depth) const {
+    return depth < options_.max_depth &&
+           static_cast<int>(n) >= options_.min_samples_split;
+  }
+
+  // Best threshold of feature f over the node's range: one pass for the
+  // totals and one prefix-sum pass, both in (value, row) order; a
+  // threshold sits between consecutive rows of different rank.
+  void ScanFeature(size_t f, size_t begin, size_t end, Split* best) const {
+    const Index* seg = cols_.data() + f * m_ + begin;
+    const Index* rank = rank_.data() + f * rows_;
+    const size_t n = end - begin;
+    const size_t min_leaf = static_cast<size_t>(options_.min_samples_leaf);
+    double total_sum = 0.0, total_sq = 0.0;
+    for (size_t k = 0; k < n; ++k) {
+      double yi = y_[seg[k]];
+      total_sum += yi;
+      total_sq += yi * yi;
+    }
+    double left_sum = 0.0, left_sq = 0.0;
+    for (size_t k = 0; k + 1 < n; ++k) {
+      const Index r = seg[k], next = seg[k + 1];
+      double yi = y_[r];
+      left_sum += yi;
+      left_sq += yi * yi;
+      if (rank[next] == rank[r]) continue;  // same value, no valid threshold
+      size_t nl = k + 1, nr = n - nl;
+      if (nl < min_leaf || nr < min_leaf) continue;
+      double right_sum = total_sum - left_sum;
+      double right_sq = total_sq - left_sq;
+      double sse_left = left_sq - left_sum * left_sum / static_cast<double>(nl);
+      double sse_right =
+          right_sq - right_sum * right_sum / static_cast<double>(nr);
+      double score = sse_left + sse_right;
+      if (score < best->score - 1e-15) {
+        best->found = true;
+        best->feature = static_cast<int>(f);
+        best->threshold = 0.5 * (x_[r][f] + x_[next][f]);
+        best->score = score;
+      }
+    }
+  }
+
+  // Stable partition of seg[0, n) by go_left_: left rows first.
+  void Partition(Index* seg, size_t n) {
+    // Branch-free: every row is stored on both sides and only the side it
+    // belongs to advances (the side flag is unpredictable row to row). The
+    // left write never passes the read position.
+    Index* right = scratch_.data();
+    size_t nl = 0, nr = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const Index r = seg[k];
+      const size_t left = go_left_[r];
+      seg[nl] = r;
+      right[nr] = r;
+      nl += left;
+      nr += 1 - left;
+    }
+    std::copy(right, right + nr, seg + nl);
+  }
+
+  RegressionTree* tree_;
+  const TreeOptions& options_;
+  const std::vector<std::vector<double>>& x_;
+  const std::vector<double>& y_;
+  Rng* rng_;
+  const size_t rows_;
+  const size_t nf_;
+  const std::vector<Index>& rank_;
+  size_t m_ = 0;
+  std::vector<Index> cols_;
+  std::vector<Index> samples_;
+  std::vector<Index> scratch_;
+  std::vector<uint8_t> go_left_;
+};
+
+RegressionTree::RegressionTree(TreeOptions options) : options_(options) {}
 
 Status RegressionTree::Fit(const std::vector<std::vector<double>>& x,
                            const std::vector<double>& y,
@@ -77,84 +277,35 @@ Status RegressionTree::Fit(const std::vector<std::vector<double>>& x,
   if (x.empty() || x.size() != y.size()) {
     return Status::InvalidArgument("tree needs matching non-empty X and y");
   }
-  num_features_ = x[0].size();
-  nodes_.clear();
-  std::vector<int> indices;
-  if (sample_indices.empty()) {
-    indices.resize(x.size());
-    std::iota(indices.begin(), indices.end(), 0);
-  } else {
-    indices = sample_indices;
+  SPARKTUNE_ASSIGN_OR_RETURN(sorted, SortedFeatures::Build(x));
+  return Fit(sorted, y, sample_indices, rng);
+}
+
+Status RegressionTree::Fit(const SortedFeatures& sorted,
+                           const std::vector<double>& y,
+                           const std::vector<int>& sample_indices, Rng* rng) {
+  if (y.size() != sorted.num_rows()) {
+    return Status::InvalidArgument("tree needs matching non-empty X and y");
   }
   if (options_.max_features > 0 && rng == nullptr) {
     return Status::InvalidArgument("feature subsampling requires an Rng");
   }
-  Build(x, y, indices, 0, rng);
-  return Status::OK();
-}
-
-int RegressionTree::Build(const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y,
-                          std::vector<int>& indices, int depth, Rng* rng) {
-  int node_id = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  double sum = 0.0, sq = 0.0;
-  for (int i : indices) {
-    sum += y[static_cast<size_t>(i)];
-    sq += y[static_cast<size_t>(i)] * y[static_cast<size_t>(i)];
-  }
-  double mean = sum / static_cast<double>(indices.size());
-  double node_sse = sq - sum * mean;
-  nodes_[static_cast<size_t>(node_id)].value = mean;
-  nodes_[static_cast<size_t>(node_id)].num_samples =
-      static_cast<int>(indices.size());
-
-  if (depth >= options_.max_depth ||
-      static_cast<int>(indices.size()) < options_.min_samples_split) {
-    return node_id;
-  }
-
-  // Candidate features.
-  std::vector<int> features;
-  int nf = static_cast<int>(num_features_);
-  if (options_.max_features > 0 && options_.max_features < nf) {
-    features = rng->SampleWithoutReplacement(nf, options_.max_features);
-  } else {
-    features.resize(static_cast<size_t>(nf));
-    std::iota(features.begin(), features.end(), 0);
-  }
-
-  SplitResult best;
-  for (int f : features) {
-    BestSplitForFeature(x, y, indices, f, options_.min_samples_leaf, &best);
-  }
-  if (!best.found) return node_id;
-
-  std::vector<int> left_idx, right_idx;
-  for (int i : indices) {
-    if (x[static_cast<size_t>(i)][static_cast<size_t>(best.feature)] <=
-        best.threshold) {
-      left_idx.push_back(i);
-    } else {
-      right_idx.push_back(i);
+  for (int s : sample_indices) {
+    if (s < 0 || static_cast<size_t>(s) >= sorted.num_rows()) {
+      return Status::InvalidArgument("tree sample index out of range");
     }
   }
-  if (left_idx.empty() || right_idx.empty()) return node_id;
-
-  // Free the parent index list before recursing (keeps peak memory linear).
-  indices.clear();
-  indices.shrink_to_fit();
-
-  int left = Build(x, y, left_idx, depth + 1, rng);
-  int right = Build(x, y, right_idx, depth + 1, rng);
-  Node& node = nodes_[static_cast<size_t>(node_id)];
-  node.is_leaf = false;
-  node.feature = best.feature;
-  node.threshold = best.threshold;
-  node.left = left;
-  node.right = right;
-  node.impurity_decrease = std::max(0.0, node_sse - best.score);
-  return node_id;
+  num_features_ = sorted.num_features();
+  nodes_.clear();
+  std::visit(
+      [&](const auto& columns) {
+        using Index =
+            typename std::decay_t<decltype(columns.order)>::value_type;
+        Builder<Index> builder(this, sorted, columns, y, sample_indices, rng);
+        builder.Build(0, builder.sample_size(), 0);
+      },
+      sorted.columns());
+  return Status::OK();
 }
 
 std::vector<double> RegressionTree::FeatureImportance() const {

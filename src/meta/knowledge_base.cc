@@ -88,14 +88,22 @@ Status KnowledgeBase::TrainSimilarityModel() {
   double keep = total_cross <= kMaxCrossPairs
                     ? 1.0
                     : static_cast<double>(kMaxCrossPairs) / total_cross;
+  // A record's probe predictions are computed on its first kept pair and
+  // shared by the rest; records in no kept pair are never predicted.
+  std::vector<std::vector<double>> means(records_.size());
+  auto probe_means = [&](size_t i) -> const std::vector<double>& {
+    if (means[i].empty()) {
+      means[i] = ProbeMeans(*records_[i].surrogate, probes_);
+    }
+    return means[i];
+  };
   for (size_t i = 0; i + 1 < records_.size(); ++i) {
     for (size_t j = i + 1; j < records_.size(); ++j) {
       if (keep < 1.0 && !rng.Bernoulli(keep)) continue;
       SimilarityModel::LabelledPair p;
       p.meta_a = records_[i].meta_features;
       p.meta_b = records_[j].meta_features;
-      p.distance = SurrogateDistance(*records_[i].surrogate,
-                                     *records_[j].surrogate, probes_);
+      p.distance = KendallDistance(probe_means(i), probe_means(j));
       pairs.push_back(std::move(p));
     }
   }

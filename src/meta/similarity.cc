@@ -8,21 +8,25 @@
 
 namespace sparktune {
 
+std::vector<double> ProbeMeans(const Surrogate& surrogate,
+                               const std::vector<std::vector<double>>& probes) {
+  assert(!probes.empty());
+  std::vector<Prediction> preds = surrogate.PredictBatch(probes);
+  std::vector<double> means;
+  means.reserve(preds.size());
+  for (const Prediction& p : preds) means.push_back(p.mean);
+  return means;
+}
+
+double KendallDistance(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  double tau = KendallTau(a, b);
+  return std::clamp((1.0 - tau) / 2.0, 0.0, 1.0);
+}
+
 double SurrogateDistance(const Surrogate& a, const Surrogate& b,
                          const std::vector<std::vector<double>>& probes) {
-  assert(!probes.empty());
-  // One batched pass per surrogate over the shared probe set.
-  std::vector<Prediction> pa = a.PredictBatch(probes);
-  std::vector<Prediction> pb = b.PredictBatch(probes);
-  std::vector<double> ya, yb;
-  ya.reserve(probes.size());
-  yb.reserve(probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    ya.push_back(pa[i].mean);
-    yb.push_back(pb[i].mean);
-  }
-  double tau = KendallTau(ya, yb);
-  return std::clamp((1.0 - tau) / 2.0, 0.0, 1.0);
+  return KendallDistance(ProbeMeans(a, probes), ProbeMeans(b, probes));
 }
 
 SimilarityModel::SimilarityModel(SimilarityModelOptions options)

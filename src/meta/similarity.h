@@ -16,8 +16,18 @@
 
 namespace sparktune {
 
-// Surrogate-ranking distance on a shared probe set of encoded
-// configurations; result in [0, 1] (0 = identical ranking).
+// A surrogate's predicted means on a shared probe set of encoded
+// configurations (one batched pass).
+std::vector<double> ProbeMeans(const Surrogate& surrogate,
+                               const std::vector<std::vector<double>>& probes);
+
+// Ranking distance between two probe-mean vectors of equal length:
+// (1 - KendallTau) / 2, in [0, 1] (0 = identical ranking).
+double KendallDistance(const std::vector<double>& a,
+                       const std::vector<double>& b);
+
+// Surrogate-ranking distance on a shared probe set:
+// KendallDistance(ProbeMeans(a), ProbeMeans(b)).
 double SurrogateDistance(const Surrogate& a, const Surrogate& b,
                          const std::vector<std::vector<double>>& probes);
 

@@ -176,12 +176,8 @@ Status ProcessSupervisor::RegisterTask(const std::string& id,
     }
     return response.status();
   }
-  TaskEntry entry;
-  entry.id = id;
-  entry.spec = spec;
-  entry.shard = shard;
   index_.emplace(id, tasks_.size());
-  tasks_.push_back(std::move(entry));
+  tasks_.push_back(TaskEntry{id, spec, shard, 0});
   SaveManifest();
   return Status::OK();
 }
@@ -506,13 +502,8 @@ void ProcessSupervisor::ReconcileTaskStatus(int shard, const Json& env) {
     if (spec == nullptr) continue;
     auto decoded = SimTaskSpecFromJson(*spec);
     if (!decoded.ok()) continue;
-    TaskEntry entry;
-    entry.id = id;
-    entry.spec = *decoded;
-    entry.shard = shard;
-    entry.periods = reported;
     index_.emplace(id, tasks_.size());
-    tasks_.push_back(std::move(entry));
+    tasks_.push_back(TaskEntry{id, std::move(*decoded), shard, reported});
     ++stats_.adopted_tasks;
   }
 }
@@ -538,13 +529,8 @@ Status ProcessSupervisor::Recover() {
   tasks_.clear();
   index_.clear();
   for (const TaskManifestEntry& t : manifest.tasks) {
-    TaskEntry entry;
-    entry.id = t.id;
-    entry.spec = t.spec;
-    entry.shard = t.shard;
-    entry.periods = t.periods;
-    index_.emplace(entry.id, tasks_.size());
-    tasks_.push_back(std::move(entry));
+    index_.emplace(t.id, tasks_.size());
+    tasks_.push_back(TaskEntry{t.id, t.spec, t.shard, t.periods});
   }
   for (int s = 0; s < num_shards(); ++s) {
     Worker& w = workers_[static_cast<size_t>(s)];

@@ -87,6 +87,38 @@ TEST(JsonTest, UnicodeEscapeDecodesToUtf8) {
   EXPECT_EQ(r->AsString(), "\xc3\xa9");
 }
 
+TEST(JsonTest, UnicodeEscapeRejectsNonHexDigits) {
+  for (const char* doc : {"\"\\uzzzz\"", "\"\\u12g4\"", "\"\\u-123\"",
+                          "\"\\u 123\"", "\"\\u12\""}) {
+    auto r = Json::Parse(doc);
+    ASSERT_FALSE(r.ok()) << doc;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << doc;
+  }
+  auto upper = Json::Parse("\"\\u00E9\\u00e9\"");
+  ASSERT_TRUE(upper.ok());
+  EXPECT_EQ(upper->AsString(), "\xc3\xa9\xc3\xa9");
+}
+
+TEST(JsonTest, EscapedSurrogatePairDecodesToOneCodePoint) {
+  auto r = Json::Parse("\"\\ud83d\\ude00\"");  // U+1F600
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->AsString(), "\xf0\x9f\x98\x80");
+  auto edges = Json::Parse("\"\\uD800\\uDC00\\uDBFF\\uDFFF\"");
+  ASSERT_TRUE(edges.ok());
+  EXPECT_EQ(edges->AsString(), "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf");
+}
+
+TEST(JsonTest, UnpairedSurrogatesAreInvalidArgument) {
+  for (const char* doc :
+       {"\"\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\n\"",
+        "\"\\ud83d\\u0041\"", "\"\\ud83d\\ud83d\"", "\"\\ude00\"",
+        "\"\\ude00\\ud83d\"", "\"\\ud83d\\uzzzz\""}) {
+    auto r = Json::Parse(doc);
+    ASSERT_FALSE(r.ok()) << doc;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << doc;
+  }
+}
+
 TEST(JsonTest, TypedGettersWithFallbacks) {
   auto r = Json::Parse("{\"n\":3,\"s\":\"v\",\"b\":true}");
   ASSERT_TRUE(r.ok());

@@ -99,6 +99,24 @@ TEST(SimilarityTest, InvertedRankingGivesMaxDistance) {
   EXPECT_NEAR(SurrogateDistance(a, b, Probes1D(50)), 1.0, 1e-9);
 }
 
+TEST(SimilarityTest, DistanceSplitsIntoProbeMeansAndKendallDistance) {
+  FnSurrogate a([](const std::vector<double>& x) { return x[0] * x[0]; });
+  FnSurrogate b([](const std::vector<double>& x) {
+    return std::sin(9.0 * x[0]);
+  });
+  const auto probes = Probes1D(40);
+  const std::vector<double> ma = ProbeMeans(a, probes);
+  ASSERT_EQ(ma.size(), probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(ma[i], a.Predict(probes[i]).mean);
+  }
+  const double split = KendallDistance(ma, ProbeMeans(b, probes));
+  EXPECT_EQ(split, SurrogateDistance(a, b, probes));
+  EXPECT_GT(split, 0.0);
+  EXPECT_LT(split, 1.0);
+  EXPECT_EQ(KendallDistance(ma, ma), 0.0);
+}
+
 TEST(SimilarityModelTest, LearnsMetaFeatureDistance) {
   // Tasks characterized by one meta-feature; distance = |a - b| clipped.
   Rng rng(3);

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -115,13 +116,18 @@ void DumpTo(const Json& j, std::string* out) {
       break;
     case Json::Type::kNumber: {
       double d = j.AsNumber();
-      if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-        *out += StrFormat("%lld", static_cast<long long>(d));
-      } else if (std::isfinite(d)) {
-        *out += StrFormat("%.17g", d);
-      } else {
+      if (!std::isfinite(d)) {
         *out += "null";  // JSON has no inf/nan
+        break;
       }
+      // Byte-identical to "%lld" / "%.17g", without printf's format parse.
+      char buf[32] = {};
+      char* end =
+          d == std::floor(d) && std::fabs(d) < 1e15
+              ? std::to_chars(buf, buf + 32, static_cast<long long>(d)).ptr
+              : std::to_chars(buf, buf + 32, d, std::chars_format::general,
+                              17).ptr;
+      out->append(buf, end);
       break;
     }
     case Json::Type::kString:
@@ -231,9 +237,15 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Err("invalid value");
+    // from_chars rounds as strtod does; a token it rejects or leaves
+    // half-read ("+1", out of range, "1e") falls through to strtod.
+    const char* last = s_.data() + pos_;
+    double d = 0.0;
+    auto [ptr, ec] = std::from_chars(s_.data() + start, last, d);
+    if (ec == std::errc() && ptr == last) return Json::Number(d);
     char* end = nullptr;
     std::string tok = s_.substr(start, pos_ - start);
-    double d = std::strtod(tok.c_str(), &end);
+    d = std::strtod(tok.c_str(), &end);
     if (end == nullptr || *end != '\0') return Err("invalid number");
     return Json::Number(d);
   }

@@ -186,11 +186,6 @@ Json TunerStateToJson(const TunerState& s) {
   if (s.baseline_obs.has_value()) {
     j.Set("baseline_obs", DataRepository::ObservationToJson(*s.baseline_obs));
   }
-  Json applied = Json::Array();
-  for (const auto& o : s.applied_history) {
-    applied.Append(DataRepository::ObservationToJson(o));
-  }
-  j.Set("applied_history", std::move(applied));
   j.Set("tuning_iterations", Json::Number(s.tuning_iterations));
   j.Set("executions", Json::Number(s.executions));
   j.Set("stopped_early", Json::Bool(s.stopped_early));
@@ -220,14 +215,7 @@ Result<TunerState> TunerStateFromJson(const Json& j,
     if (!o.ok()) return Status::DataLoss(o.status().message());
     s.baseline_obs = *std::move(o);
   }
-  if (const Json* applied = j.Get("applied_history");
-      applied && applied->is_array()) {
-    for (const auto& e : applied->elements()) {
-      auto o = DataRepository::ObservationFromJson(e, space);
-      if (!o.ok()) return Status::DataLoss(o.status().message());
-      s.applied_history.push_back(*std::move(o));
-    }
-  }
+  // A legacy "applied_history" array is skipped: nothing reads it.
   s.tuning_iterations =
       static_cast<int>(j.GetNumberOr("tuning_iterations", 0.0));
   s.executions = static_cast<int>(j.GetNumberOr("executions", 0.0));

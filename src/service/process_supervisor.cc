@@ -291,32 +291,26 @@ std::vector<Result<Observation>> ProcessSupervisor::Tick() {
 
   // Pipelined exchange: write every shard's kExecute before reading any
   // response, so shard batches execute concurrently across processes.
-  std::vector<bool> sent(workers_.size(), false);
+  std::vector<std::optional<Json>> bodies(workers_.size());
   for (size_t s = 0; s < workers_.size(); ++s) {
-    Worker& w = workers_[s];
-    if (batches[s].empty() || !w.alive || !w.client->connected()) continue;
+    if (batches[s].empty()) continue;
     Json ids = Json::Array();
     for (const std::string& id : batches[s]) ids.Append(Json::Str(id));
     Json body = Json::Object();
     body.Set("ids", std::move(ids));
     // Fencing token: a stale incarnation that somehow still owns the
     // socket answers this with kFailedPrecondition instead of executing.
-    body.Set("epoch", Json::Number(static_cast<double>(w.epoch)));
-    Status st = w.client->Send(net::MsgKind::kExecute, body,
-                               options_.call_timeout_ms);
-    if (st.ok()) {
-      sent[s] = true;
-    } else {
-      MarkWorkerDown(static_cast<int>(s));
-    }
+    body.Set("epoch", Json::Number(static_cast<double>(workers_[s].epoch)));
+    bodies[s] = std::move(body);
   }
+  std::vector<std::optional<Result<Json>>> replies =
+      FanOut(net::MsgKind::kExecute, bodies);
 
   std::vector<std::optional<Result<Observation>>> slots(tasks_.size());
   for (size_t s = 0; s < workers_.size(); ++s) {
-    if (!sent[s]) continue;
+    if (!replies[s].has_value()) continue;
     Worker& w = workers_[s];
-    auto response =
-        w.client->Receive(net::MsgKind::kExecute, options_.call_timeout_ms);
+    const Result<Json>& response = *replies[s];
     bool usable = response.ok();
     const Json* jslots = usable ? response->Get("slots") : nullptr;
     const Json* jperiods = usable ? response->Get("periods") : nullptr;
@@ -609,49 +603,57 @@ void ProcessSupervisor::SaveManifest() {
   }
 }
 
-CheckpointReport ProcessSupervisor::CheckpointAll() {
-  CheckpointReport report;
-  for (int s = 0; s < num_shards(); ++s) {
-    Worker& w = workers_[static_cast<size_t>(s)];
-    if (!w.alive || !w.client->connected()) continue;
-    auto response = w.client->Call(net::MsgKind::kCheckpoint, EmptyBody());
+std::vector<std::optional<Result<Json>>> ProcessSupervisor::FanOut(
+    net::MsgKind kind, const std::vector<std::optional<Json>>& bodies) {
+  std::vector<std::optional<Result<Json>>> replies(workers_.size());
+  std::vector<int64_t> sent_at(workers_.size(), -1);
+  for (size_t s = 0; s < workers_.size(); ++s) {
+    Worker& w = workers_[s];
+    if (!bodies[s] || !w.alive || !w.client->connected()) continue;
+    sent_at[s] = net::MonotonicMs();
+    Status st = w.client->Send(kind, *bodies[s], options_.call_timeout_ms);
+    if (!st.ok()) replies[s] = std::move(st);
+  }
+  for (size_t s = 0; s < workers_.size(); ++s) {
+    if (sent_at[s] < 0 || replies[s].has_value()) continue;
+    replies[s] = workers_[s].client->Receive(
+        kind, net::RemainingMs(sent_at[s], options_.call_timeout_ms));
+  }
+  return replies;
+}
+
+template <typename Report>
+Report ProcessSupervisor::FanOutReports(net::MsgKind kind, const Json& body,
+                                        Report (*decode)(const Json&)) {
+  std::vector<std::optional<Result<Json>>> replies =
+      FanOut(kind, std::vector<std::optional<Json>>(workers_.size(), body));
+  Report report;
+  for (size_t s = 0; s < replies.size(); ++s) {
+    if (!replies[s].has_value()) continue;
+    const Result<Json>& response = *replies[s];
     if (!response.ok()) {
       ++report.failed;
       report.errors.push_back(response.status());
       if (response.status().code() == Status::Code::kUnavailable) {
-        MarkWorkerDown(s);
+        MarkWorkerDown(static_cast<int>(s));
       }
       continue;
     }
-    if (const Json* r = response->Get("report")) {
-      report.Merge(CheckpointReportFromJson(*r));
-    }
+    if (const Json* r = response->Get("report")) report.Merge(decode(*r));
   }
   return report;
 }
 
+CheckpointReport ProcessSupervisor::CheckpointAll() {
+  return FanOutReports(net::MsgKind::kCheckpoint, EmptyBody(),
+                       CheckpointReportFromJson);
+}
+
 HarvestReport ProcessSupervisor::HarvestDirty(int max_tasks_per_shard) {
-  HarvestReport report;
-  for (int s = 0; s < num_shards(); ++s) {
-    Worker& w = workers_[static_cast<size_t>(s)];
-    if (!w.alive || !w.client->connected()) continue;
-    Json body = Json::Object();
-    body.Set("max_tasks",
-             Json::Number(static_cast<double>(max_tasks_per_shard)));
-    auto response = w.client->Call(net::MsgKind::kHarvest, body);
-    if (!response.ok()) {
-      ++report.failed;
-      report.errors.push_back(response.status());
-      if (response.status().code() == Status::Code::kUnavailable) {
-        MarkWorkerDown(s);
-      }
-      continue;
-    }
-    if (const Json* r = response->Get("report")) {
-      report.Merge(HarvestReportFromJson(*r));
-    }
-  }
-  return report;
+  Json body = Json::Object();
+  body.Set("max_tasks",
+           Json::Number(static_cast<double>(max_tasks_per_shard)));
+  return FanOutReports(net::MsgKind::kHarvest, body, HarvestReportFromJson);
 }
 
 Status ProcessSupervisor::HarvestTask(const std::string& id) {

@@ -25,6 +25,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,17 @@ class ProcessSupervisor {
   // max(acked, reported) and worker-known tasks missing from the manifest
   // are adopted outright.
   void ReconcileTaskStatus(int shard, const Json& env);
+  // One `kind` exchange with every live shard whose body is set: all
+  // requests go out before any response is read, so workers serve them
+  // concurrently. Slot s holds shard s's reply or transport error (nullopt:
+  // nothing sent); each keeps Call()'s deadline, counted from its send.
+  std::vector<std::optional<Result<Json>>> FanOut(
+      net::MsgKind kind, const std::vector<std::optional<Json>>& bodies);
+  // FanOut of one body, "report"s folded in shard order. A failed exchange
+  // counts as one failed shard; kUnavailable also marks it down.
+  template <typename Report>
+  Report FanOutReports(net::MsgKind kind, const Json& body,
+                       Report (*decode)(const Json&));
   // Mark a worker down after a transport failure and reap it if the
   // process actually exited.
   void MarkWorkerDown(int shard);

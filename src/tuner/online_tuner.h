@@ -59,7 +59,6 @@ struct TunerState {
   double runtime_max = std::numeric_limits<double>::infinity();
   double resource_max = std::numeric_limits<double>::infinity();
   std::optional<Observation> baseline_obs;
-  std::vector<Observation> applied_history;
   int tuning_iterations = 0;
   int executions = 0;
   bool stopped_early = false;
@@ -164,7 +163,6 @@ class OnlineTuner {
   TunerPhase phase_;
   std::unique_ptr<Advisor> advisor_;
   std::optional<Observation> baseline_obs_;
-  RunHistory applied_history_;
   EventLog last_event_log_;
   EventLogSummary last_event_summary_;
   int tuning_iterations_ = 0;

@@ -1,7 +1,7 @@
 // Crash-safe checkpoint/recovery tests (DESIGN.md §7): CRC32 vectors, the
-// framed atomic checkpoint files, the task-checkpoint JSON codec, the
-// automatic checkpoint cadence, and the headline property — a kill/restart
-// resumes the identical trajectory.
+// framed atomic checkpoint files, the task-checkpoint JSON codec and its
+// mutation corpus, the automatic checkpoint cadence, and the headline
+// property — a kill/restart resumes the identical trajectory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/rng.h"
 #include "service/checkpoint.h"
 #include "service/tuning_service.h"
 #include "sparksim/hibench.h"
@@ -218,6 +219,100 @@ TEST(CheckpointCodecTest, MalformedDocumentsAreDataLoss) {
   no_tuner.Set("id", Json::Str("wc"));
   EXPECT_EQ(TaskCheckpointFromJson(no_tuner, f.space).status().code(),
             Status::Code::kDataLoss);
+}
+
+// A checkpoint holds the task's state, not its past: once a task applies
+// its incumbent, more applying periods leave the payload the same size.
+TEST(CheckpointCodecTest, PayloadSizeDoesNotGrowWhileApplying) {
+  Fixture f;
+  auto inner = f.MakeInner(3);
+  TunerOptions options = f.ServiceOpts("").tuner;
+  OnlineTuner tuner(&f.space, inner.get(), options);
+  while (tuner.phase() != TunerPhase::kApplying) tuner.Step();
+
+  auto payload_size = [&] {
+    TaskCheckpoint ckpt;
+    ckpt.id = "wc";
+    ckpt.tuner = tuner.SaveState();
+    return TaskCheckpointToJson(ckpt).Dump().size();
+  };
+  for (int i = 0; i < 5; ++i) tuner.Step();
+  ASSERT_EQ(tuner.phase(), TunerPhase::kApplying);
+  const size_t after_5 = payload_size();
+  for (int i = 5; i < 40; ++i) tuner.Step();
+  ASSERT_EQ(tuner.phase(), TunerPhase::kApplying);
+  ASSERT_EQ(tuner.restarts(), 0);
+  EXPECT_EQ(payload_size(), after_5);
+}
+
+// Checkpoints written before the tuner dropped its applied-period history
+// carry an "applied_history" array in the tuner object. Such a document
+// still restores, and the task resumes the undisturbed trajectory.
+TEST(CheckpointRecoveryTest, LegacyAppliedHistoryPayloadRestores) {
+  Fixture f;
+  constexpr int kTotal = 30;
+  constexpr int kKillAfter = 18;  // past the 10-iteration budget: applying
+
+  std::vector<Observation> want;
+  {
+    TuningService service(&f.space, f.ServiceOpts(TempDir("legacy-ref")));
+    auto inner = f.MakeInner(7);
+    ASSERT_TRUE(service.RegisterTask("wc", inner.get()).ok());
+    for (int i = 0; i < kTotal; ++i) {
+      auto obs = service.ExecutePeriodic("wc");
+      ASSERT_TRUE(obs.ok()) << "period " << i;
+      want.push_back(*obs);
+    }
+  }
+
+  const std::string dir = TempDir("legacy");
+  {
+    TuningService service(&f.space, f.ServiceOpts(dir));
+    auto inner = f.MakeInner(7);
+    ASSERT_TRUE(service.RegisterTask("wc", inner.get()).ok());
+    for (int i = 0; i < kKillAfter; ++i) {
+      ASSERT_TRUE(service.ExecutePeriodic("wc").ok()) << "period " << i;
+    }
+    ASSERT_EQ(service.tuner("wc")->phase(), TunerPhase::kApplying);
+    ASSERT_TRUE(service.CheckpointTasks().ok());
+  }
+
+  // Rewrite the newest generation in the legacy layout: the applied
+  // periods' observations ride along in the tuner object.
+  DataRepository repo(dir);
+  auto doc = repo.LoadCheckpoint("wc");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const Json* tuner_json = doc->Get("tuner");
+  ASSERT_NE(tuner_json, nullptr);
+  ASSERT_FALSE(tuner_json->Has("applied_history"));
+  Json legacy_tuner = *tuner_json;
+  Json applied = Json::Array();
+  for (int i = 11; i < kKillAfter; ++i) {
+    applied.Append(DataRepository::ObservationToJson(want[i]));
+  }
+  legacy_tuner.Set("applied_history", std::move(applied));
+  doc->Set("tuner", std::move(legacy_tuner));
+  ASSERT_TRUE(repo.SaveCheckpoint("wc", *doc).ok());
+  auto reloaded = repo.LoadCheckpoint("wc");
+  ASSERT_TRUE(reloaded.ok());
+  ASSERT_TRUE(reloaded->Get("tuner")->Has("applied_history"));
+
+  TuningService revived(&f.space, f.ServiceOpts(dir));
+  auto inner = f.MakeInner(7);
+  ASSERT_TRUE(revived.RegisterTask("wc", inner.get()).ok());
+  auto report = revived.RestoreTasks();
+  ASSERT_TRUE(report.errors.empty()) << report.errors[0].ToString();
+  EXPECT_EQ(report.restored, 1);
+  EXPECT_EQ(revived.tuner("wc")->executions(), kKillAfter);
+
+  for (int i = kKillAfter; i < kTotal; ++i) {
+    auto got = revived.ExecutePeriodic("wc");
+    ASSERT_TRUE(got.ok()) << "period " << i;
+    EXPECT_TRUE(got->config == want[i].config) << "period " << i;
+    EXPECT_EQ(got->objective, want[i].objective) << "period " << i;
+    EXPECT_EQ(got->runtime_sec, want[i].runtime_sec) << "period " << i;
+    EXPECT_EQ(got->feasible, want[i].feasible) << "period " << i;
+  }
 }
 
 // Acceptance: kill the service after any period, restore from the
@@ -728,6 +823,233 @@ TEST(AutoCheckpointTest, PhaseTransitionTriggersCheckpoint) {
     ASSERT_TRUE(service.ExecutePeriodic("wc").ok());
   }
   EXPECT_GE(service.auto_checkpoints(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint decoder mutation corpus. Real checkpoints are mutated on their
+// JSON tree (number <-> string, dropped keys, truncated arrays, swapped
+// containers, extreme numbers) and on their bytes (spliced, cut, garbage),
+// then re-framed with a *correct* CRC, so every mutant reaches the JSON
+// parser and TaskCheckpointFromJson instead of dying at the frame check.
+// ---------------------------------------------------------------------------
+
+enum class TreeMutation { kFlipType, kDropChild, kTruncate, kExtremeNumber };
+
+size_t CountNodes(const Json& j) {
+  size_t n = 1;
+  for (const Json& e : j.elements()) n += CountNodes(e);
+  for (const auto& kv : j.items()) n += CountNodes(kv.second);
+  return n;
+}
+
+Json MutateNode(const Json& j, TreeMutation kind, Rng* rng) {
+  switch (kind) {
+    case TreeMutation::kFlipType:
+      switch (j.type()) {
+        case Json::Type::kNumber: return Json::Str(j.Dump());
+        case Json::Type::kString:
+          return Json::Number(static_cast<double>(j.AsString().size()));
+        case Json::Type::kBool: return Json::Number(j.AsBool() ? 1 : 0);
+        case Json::Type::kNull: return Json::Str("");
+        case Json::Type::kArray: {
+          Json obj = Json::Object();
+          for (size_t i = 0; i < j.size(); ++i) {
+            obj.Set(std::to_string(i), j.at(i));
+          }
+          return obj;
+        }
+        case Json::Type::kObject: {
+          Json arr = Json::Array();
+          for (const auto& kv : j.items()) arr.Append(kv.second);
+          return arr;
+        }
+      }
+      break;
+    case TreeMutation::kDropChild:
+    case TreeMutation::kTruncate: {
+      const size_t n = j.size();
+      if (j.is_string()) {
+        return Json::Str(j.AsString().substr(
+            0, static_cast<size_t>(rng->UniformInt(
+                   0, static_cast<int64_t>(j.AsString().size())))));
+      }
+      if (!(j.is_array() || j.is_object()) || n == 0) return Json();
+      const size_t pick =
+          static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+      // kDropChild removes one child; kTruncate keeps a prefix.
+      auto keep = [&](size_t i) {
+        return kind == TreeMutation::kDropChild ? i != pick : i < pick;
+      };
+      Json out = j.is_array() ? Json::Array() : Json::Object();
+      for (size_t i = 0; i < n; ++i) {
+        if (!keep(i)) continue;
+        if (j.is_array()) {
+          out.Append(j.at(i));
+        } else {
+          out.Set(j.items()[i].first, j.items()[i].second);
+        }
+      }
+      return out;
+    }
+    case TreeMutation::kExtremeNumber: {
+      const double kExtremes[] = {-1.0, 0.0, 0.5, 1e300, -1e300, 4294967296.0,
+                                  9.3e18, -9.3e18, 1e15 + 0.5, 65536.0};
+      return Json::Number(kExtremes[rng->UniformInt(0, 9)]);
+    }
+  }
+  return j;
+}
+
+// Rebuilds `j` with node number `target` (pre-order) mutated.
+Json MutateAt(const Json& j, size_t target, size_t* index, TreeMutation kind,
+              Rng* rng) {
+  if ((*index)++ == target) return MutateNode(j, kind, rng);
+  if (j.is_array()) {
+    Json out = Json::Array();
+    for (const Json& e : j.elements()) {
+      out.Append(MutateAt(e, target, index, kind, rng));
+    }
+    return out;
+  }
+  if (j.is_object()) {
+    Json out = Json::Object();
+    for (const auto& [k, v] : j.items()) {
+      out.Set(k, MutateAt(v, target, index, kind, rng));
+    }
+    return out;
+  }
+  return j;
+}
+
+// Byte-level damage to a serialized document; `donor` supplies spliced-in
+// ranges from another real checkpoint.
+std::string MutateBytes(std::string text, const std::string& donor,
+                        Rng* rng) {
+  auto pos = [&](const std::string& s) {
+    return static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(s.size())));
+  };
+  switch (rng->UniformInt(0, 3)) {
+    case 0: {  // splice a donor range over a random range
+      const size_t a = pos(text);
+      const size_t b = std::min(text.size(), a + pos(text) / 8);
+      const size_t c = pos(donor);
+      const size_t d = std::min(donor.size(), c + pos(donor) / 8);
+      text.replace(a, b - a, donor.substr(c, d - c));
+      break;
+    }
+    case 1:  // cut the tail
+      text.resize(pos(text));
+      break;
+    case 2: {  // overwrite a few bytes with JSON punctuation or noise
+      const char kBytes[] = "{}[],:\"0123456789-+.eE \\\x00\xff";
+      for (int n = static_cast<int>(rng->UniformInt(1, 4)); n > 0; --n) {
+        if (text.empty()) break;
+        text[pos(text) % text.size()] =
+            kBytes[rng->UniformInt(0, sizeof(kBytes) - 2)];
+      }
+      break;
+    }
+    default: {  // drop a range
+      const size_t a = pos(text);
+      text.erase(a, std::min(text.size() - a, pos(text) / 16 + 1));
+      break;
+    }
+  }
+  return text;
+}
+
+// Real checkpoints of one task, taken in every phase and under evaluator
+// faults, plus one in the legacy layout with an applied-history array.
+std::vector<Json> RealCheckpoints(Fixture* f, const std::string& dir) {
+  std::vector<Json> docs;
+  TuningService service(&f->space, f->ServiceOpts(dir));
+  auto inner = f->MakeInner(11);
+  FaultInjectingEvaluator eval(inner.get(), MixedFaults());
+  EXPECT_TRUE(service.RegisterTask("wc", &eval).ok());
+  DataRepository repo(dir);
+  for (int period = 1; period <= 16; ++period) {
+    (void)service.ExecutePeriodic("wc");
+    if (period == 1 || period == 4 || period == 9 || period == 16) {
+      EXPECT_TRUE(service.CheckpointTask("wc").ok());
+      auto doc = repo.LoadCheckpoint("wc");
+      EXPECT_TRUE(doc.ok());
+      if (doc.ok()) docs.push_back(*std::move(doc));
+    }
+  }
+  if (!docs.empty()) {
+    Json legacy = docs.back();
+    Json tuner = *legacy.Get("tuner");
+    Json applied = Json::Array();
+    applied.Append(*tuner.Get("baseline_obs"));
+    tuner.Set("applied_history", std::move(applied));
+    legacy.Set("tuner", std::move(tuner));
+    docs.push_back(std::move(legacy));
+  }
+  return docs;
+}
+
+TEST(CheckpointDecoderFuzz, MutatedCheckpointsAreTypedNeverCrash) {
+  Fixture f;
+  const std::string dir = TempDir("fuzz");
+  std::vector<Json> corpus = RealCheckpoints(&f, dir);
+  ASSERT_EQ(corpus.size(), 5u);
+  for (const Json& doc : corpus) {
+    ASSERT_TRUE(TaskCheckpointFromJson(doc, f.space).ok());
+  }
+
+  // Mutants overwrite the task's one live generation file in place, framed
+  // exactly as SaveCheckpoint frames it.
+  DataRepository repo(dir);
+  ASSERT_TRUE(repo.SaveCheckpoint("wc", corpus[0]).ok());
+  const std::string path = CheckpointFilesSorted(dir).back();
+  const std::string header = ReadFile(path);
+  const std::string magic = header.substr(0, header.find(' '));
+
+  Rng rng(0xC4EC4F0220ULL);
+  int decoded = 0, rejected = 0;
+  constexpr int kMutants = 1500;
+  for (int m = 0; m < kMutants; ++m) {
+    const Json& seed = corpus[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1))];
+    Json tree = seed;
+    std::string text;
+    const int tree_edits = static_cast<int>(rng.UniformInt(0, 3));
+    for (int e = 0; e < tree_edits; ++e) {
+      size_t index = 0;
+      const size_t target = static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(CountNodes(tree)) - 1));
+      tree = MutateAt(tree, target, &index,
+                      static_cast<TreeMutation>(rng.UniformInt(0, 3)), &rng);
+    }
+    text = tree.Dump();
+    if (tree_edits == 0 || rng.Bernoulli(0.3)) {
+      const Json& donor = corpus[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1))];
+      text = MutateBytes(std::move(text), donor.Dump(), &rng);
+    }
+    ASSERT_TRUE(WriteFramedAtomic(path, magic.c_str(), text).ok());
+
+    auto doc = repo.LoadCheckpoint("wc");
+    if (!doc.ok()) {
+      EXPECT_EQ(doc.status().code(), Status::Code::kDataLoss)
+          << "mutant " << m << ": " << doc.status().ToString();
+      ++rejected;
+      continue;
+    }
+    auto ckpt = TaskCheckpointFromJson(*doc, f.space);
+    if (ckpt.ok()) {
+      ++decoded;
+    } else {
+      EXPECT_EQ(ckpt.status().code(), Status::Code::kDataLoss)
+          << "mutant " << m << ": " << ckpt.status().ToString();
+      ++rejected;
+    }
+  }
+  // The corpus reaches both outcomes: it is neither all noise nor all
+  // harmless.
+  EXPECT_GT(decoded, kMutants / 20);
+  EXPECT_GT(rejected, kMutants / 20);
 }
 
 }  // namespace

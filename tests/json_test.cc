@@ -1,9 +1,18 @@
 // Tests for the minimal JSON reader/writer used by the data repository.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 
 namespace sparktune {
 namespace {
@@ -79,6 +88,13 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(Json::Parse("\"unterminated").ok());
   EXPECT_FALSE(Json::Parse("{} trailing").ok());
   EXPECT_FALSE(Json::Parse("tru").ok());
+  // Malformed numbers are typed, bare or inside a container.
+  for (const char* tok :
+       {"1e", "-", "--1", "1e+", ".", "+", "1.2.3", "e5", "[1,--1]"}) {
+    auto parsed = Json::Parse(tok);
+    ASSERT_FALSE(parsed.ok()) << tok;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument) << tok;
+  }
 }
 
 TEST(JsonTest, UnicodeEscapeDecodesToUtf8) {
@@ -137,6 +153,91 @@ TEST(JsonTest, NonFiniteNumbersSerializeAsNull) {
 TEST(JsonTest, LargeIntegersKeepPrecision) {
   Json n = Json::Number(123456789012.0);
   EXPECT_EQ(n.Dump(), "123456789012");
+}
+
+// The number format Dump has always produced: integral values below 1e15
+// through "%lld", every other finite value through "%.17g".
+std::string PrintfNumber(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[64];
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+uint64_t ToBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST(JsonTest, NumberDumpMatchesPrintfGolden) {
+  std::vector<double> corpus = {
+      0.0, -0.0, 1e15 - 1, 1e15, 1e15 + 1, -(1e15 - 1), -1e15, -(1e15 + 1),
+      9007199254740992.0,  // 2^53
+      -9007199254740992.0, DBL_MIN, -DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3, DBL_MAX,
+      -DBL_MAX, 0.1, 1.0 / 3, 123.456, 1e-5, 1e16, 1e21, 1e22, 0.5, -2.5};
+  Rng rng(0x5EED0C0DEULL);
+  for (int i = 0; i < 20000; ++i) {
+    corpus.push_back(FromBits(rng.Next()));  // any bit pattern
+    corpus.push_back(rng.Uniform(-1e6, 1e6));
+    corpus.push_back(std::floor(rng.Uniform(-2e15, 2e15)));
+    corpus.push_back(static_cast<double>(rng.UniformInt(-100000, 100000)));
+  }
+  int mismatches = 0;
+  for (double d : corpus) {
+    const std::string got = Json::Number(d).Dump();
+    if (got != PrintfNumber(d) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::hex << ToBits(d) << ": " << got
+                    << " vs " << PrintfNumber(d);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonTest, NumberParseMatchesStrtod) {
+  const char* kTokens[] = {"+1",       "-0",     ".5",    "1.",
+                           "4.9e-324", "1e-400", "1e999", "-1e999",
+                           "0.1",      "1E5",    "2.5e+2", "-0.0"};
+  for (const char* tok : kTokens) {
+    auto parsed = Json::Parse(tok);
+    ASSERT_TRUE(parsed.ok()) << tok << ": " << parsed.status().ToString();
+    ASSERT_TRUE(parsed->is_number()) << tok;
+    const double want = std::strtod(tok, nullptr);
+    const double got = parsed->AsNumber();
+    EXPECT_EQ(ToBits(got), ToBits(want))
+        << tok << ": " << got << " vs " << want;
+  }
+  EXPECT_TRUE(std::signbit(Json::Parse("-0")->AsNumber()));
+  EXPECT_EQ(Json::Parse("1e999")->AsNumber(),
+            std::numeric_limits<double>::infinity());
+
+  // Every value Dump writes parses back to the same bits.
+  Rng rng(0xD0C5ULL);
+  for (int i = 0; i < 20000; ++i) {
+    const double d = FromBits(rng.Next());
+    if (!std::isfinite(d)) continue;
+    auto back = Json::Parse(Json::Number(d).Dump());
+    ASSERT_TRUE(back.ok());
+    const double got = back->AsNumber();
+    // "%lld" writes -0.0 as "0"; every other value keeps its bits.
+    if (d == 0.0) {
+      EXPECT_EQ(got, 0.0);
+    } else {
+      EXPECT_EQ(ToBits(got), ToBits(d)) << Json::Number(d).Dump();
+    }
+  }
 }
 
 // The parser recurses once per array/object level, so depth is bounded:

@@ -9,7 +9,9 @@
 // bit-identical to an undisturbed in-process TuningService run, at nt=1
 // and nt=4.
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 
 #include <filesystem>
 #include <memory>
@@ -26,6 +28,7 @@
 #include "service/placement.h"
 #include "service/process_supervisor.h"
 #include "service/shard_server.h"
+#include "service/supervisor_manifest.h"
 #include "service/wire.h"
 #include "sparksim/hibench.h"
 #include "sparksim/spark_conf.h"
@@ -844,6 +847,89 @@ TEST(ProcessService, CheckpointAllAggregatesAndSkipsUnchanged) {
   EXPECT_EQ(second.written, 0);
   EXPECT_EQ(second.skipped, 3);
   EXPECT_TRUE(supervisor.Shutdown().ok());
+}
+
+// CheckpointAll and HarvestDirty write every shard's request before reading
+// any response. A worker that died behind the supervisor's back (SIGKILLed
+// directly, so the supervisor still counts it alive) must fail only its
+// own exchange: the live shard's report still merges, the dead shard
+// counts as failed and is marked down, and the next tick parks only the
+// dead shard's tasks.
+void ExpectFanOutSurvivesSilentDeath(const std::string& tag, bool harvest) {
+  ProcessSupervisorOptions options;
+  options.shardd_path = SPARKTUNE_SHARDD_PATH;
+  options.socket_dir = TempDir("sock-fanout-" + tag);
+  options.num_shards = 2;
+  options.service = TestConfig(TempDir("repo-fanout-" + tag));
+  ProcessSupervisor supervisor(options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  FleetSpec fleet = MakeFleet(6);
+  std::vector<int> load(2, 0);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(supervisor.RegisterTask(fleet.ids[i], fleet.specs[i]).ok());
+    ++load[supervisor.shard_of(fleet.ids[i])];
+  }
+  ASSERT_GT(load[0], 0);
+  ASSERT_GT(load[1], 0);
+  for (int t = 0; t < 4; ++t) (void)supervisor.Tick();
+
+  const int dead = 0, live = 1;
+  auto manifest = LoadSupervisorManifest(supervisor.manifest_path());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const pid_t pid = static_cast<pid_t>(manifest->shards[dead].pid);
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);  // gone before the fan-out
+  ASSERT_TRUE(supervisor.shard_alive(dead));
+
+  int failed = 0;
+  std::vector<Status> errors;
+  if (harvest) {
+    HarvestReport report = supervisor.HarvestDirty();
+    EXPECT_EQ(report.attempted, load[live]);
+    failed = report.failed;
+    errors = report.errors;
+  } else {
+    CheckpointReport report = supervisor.CheckpointAll();
+    EXPECT_EQ(report.written, load[live]);
+    failed = report.failed;
+    errors = report.errors;
+  }
+  EXPECT_EQ(failed, 1);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].code(), Status::Code::kUnavailable)
+      << errors[0].ToString();
+  EXPECT_FALSE(supervisor.shard_alive(dead));
+  EXPECT_TRUE(supervisor.shard_alive(live));
+
+  const long long parked_before = supervisor.stats().parked_slots;
+  std::vector<long long> before(fleet.ids.size());
+  for (size_t i = 0; i < fleet.ids.size(); ++i) {
+    before[i] = supervisor.periods(fleet.ids[i]);
+  }
+  std::vector<Result<Observation>> slots = supervisor.Tick();
+  ASSERT_EQ(slots.size(), fleet.ids.size());
+  EXPECT_EQ(supervisor.stats().parked_slots - parked_before, load[dead]);
+  for (size_t i = 0; i < fleet.ids.size(); ++i) {
+    if (supervisor.shard_of(fleet.ids[i]) == dead) {
+      ASSERT_FALSE(slots[i].ok()) << fleet.ids[i];
+      EXPECT_EQ(slots[i].status().code(), Status::Code::kUnavailable);
+      EXPECT_EQ(supervisor.periods(fleet.ids[i]), before[i]) << fleet.ids[i];
+    } else {
+      EXPECT_EQ(supervisor.periods(fleet.ids[i]), before[i] + 1)
+          << fleet.ids[i];
+    }
+  }
+  (void)supervisor.Shutdown();
+}
+
+TEST(ProcessService, CheckpointAllFanOutSurvivesSilentWorkerDeath) {
+  ExpectFanOutSurvivesSilentDeath("ckpt", /*harvest=*/false);
+}
+
+TEST(ProcessService, HarvestDirtyFanOutSurvivesSilentWorkerDeath) {
+  ExpectFanOutSurvivesSilentDeath("harvest", /*harvest=*/true);
 }
 
 // placement.h promises the same home shard for an id on every platform and

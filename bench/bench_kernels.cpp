@@ -12,6 +12,14 @@
 // features); forest_fit is a bagged forest on tied data with duplicate
 // bootstrap rows and feature subsampling. Self-check mode shrinks both.
 //
+// The candidate-scoring kernels time what the acquisition optimizer runs
+// per candidate: resource_rate is SimulatorEvaluator::ResourceRate
+// (resolved-index SparkConfLayout decode) against the by-name decoder,
+// and encode is Advisor::Encode (cached log bounds, one allocation)
+// against the closed-form unit codec plus a separate context vector
+// (tests/reference_codec.h); both over 64 x m random production-group
+// configurations (m in self-check mode).
+//
 // Outputs a table and BENCH_kernels.json (schema self-checked before the
 // write, like BENCH_fleet.json).
 //
@@ -32,6 +40,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "bo/advisor.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -42,8 +51,12 @@
 #include "meta/meta_features.h"
 #include "meta/similarity.h"
 #include "model/kernel.h"
+#include "reference_codec.h"
 #include "reference_tree.h"
 #include "sparksim/event_log.h"
+#include "sparksim/hibench.h"
+#include "sparksim/spark_conf.h"
+#include "tuner/evaluator.h"
 
 using namespace sparktune;
 using namespace sparktune::bench;
@@ -379,6 +392,71 @@ KernelRow BenchForestFit(size_t n, int threads, int reps) {
   return row;
 }
 
+std::vector<Configuration> RandomConfigs(const ConfigSpace& space,
+                                         size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Configuration> configs;
+  configs.reserve(count);
+  for (size_t i = 0; i < count; ++i) configs.push_back(space.Sample(&rng));
+  return configs;
+}
+
+KernelRow BenchResourceRate(size_t count, int reps) {
+  KernelRow row{"resource_rate"};
+  const ClusterSpec cluster = ClusterSpec::ProductionGroup();
+  const ConfigSpace space = BuildSparkSpace(cluster);
+  const SimulatorEvaluatorOptions opts;
+  auto workload = HiBenchTask("WordCount");
+  if (!workload.ok()) {
+    row.bit_identical = false;
+    return row;
+  }
+  SimulatorEvaluator eval(&space, *workload, cluster, DriftModel::None(),
+                          opts);
+  const std::vector<Configuration> configs = RandomConfigs(space, count, 61);
+  std::vector<double> naive(count), fast(count);
+  row.naive_ms = TimeMs(reps, [&] {
+    for (size_t i = 0; i < count; ++i) {
+      naive[i] = ResourceFunction(
+          reference::DecodeSparkConfByName(space, configs[i]),
+          opts.sim.mem_weight);
+    }
+    g_sink += naive[0];
+  });
+  row.fast_ms = TimeMs(reps, [&] {
+    for (size_t i = 0; i < count; ++i) fast[i] = eval.ResourceRate(configs[i]);
+    g_sink += fast[0];
+  });
+  row.bit_identical = naive == fast;
+  return row;
+}
+
+KernelRow BenchEncode(size_t count, int reps) {
+  KernelRow row{"encode"};
+  const ConfigSpace space = BuildSparkSpace(ClusterSpec::ProductionGroup());
+  const Advisor advisor(&space, AdvisorOptions{});
+  const double data_gb = 37.5;
+  const std::vector<Configuration> configs = RandomConfigs(space, count, 62);
+  std::vector<std::vector<double>> naive(count), fast(count);
+  row.naive_ms = TimeMs(reps, [&] {
+    for (size_t i = 0; i < count; ++i) {
+      naive[i] = reference::EncodeFeatures(
+          space, configs[i],
+          {NormalizeDataSize(data_gb,
+                             advisor.options().datasize_reference_gb)});
+    }
+    g_sink += naive[0][0];
+  });
+  row.fast_ms = TimeMs(reps, [&] {
+    for (size_t i = 0; i < count; ++i) {
+      fast[i] = advisor.Encode(configs[i], data_gb);
+    }
+    g_sink += fast[0][0];
+  });
+  row.bit_identical = naive == fast;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -407,6 +485,9 @@ int main(int argc, char** argv) {
   rows.push_back(self_check ? BenchTreeFit(6, 20, reps)
                             : BenchTreeFit(16, 150, reps));
   rows.push_back(BenchForestFit(n, threads, reps));
+  const size_t configs = self_check ? m : 64 * m;
+  rows.push_back(BenchResourceRate(configs, reps));
+  rows.push_back(BenchEncode(configs, reps));
 
   std::printf("bench_kernels: n=%zu m=%zu logs=%zu threads=%d reps=%d\n\n",
               n, m, num_logs, threads, reps);

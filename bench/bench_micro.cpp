@@ -81,7 +81,7 @@ void BM_AcquisitionMaximize(benchmark::State& state) {
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        opt.Maximize(full, encode, acq, nullptr, nullptr, nullptr, &rng));
+        opt.Maximize(full, encode, acq, {}, nullptr, &rng));
   }
 }
 BENCHMARK(BM_AcquisitionMaximize);

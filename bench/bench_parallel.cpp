@@ -167,7 +167,7 @@ Timing BenchAcquisition(const Dataset& d, int threads) {
     Rng rng(42);
     double t0 = NowSec();
     AcqOptResult r =
-        opt.Maximize(full, encode, acq, nullptr, nullptr, &history, &rng);
+        opt.Maximize(full, encode, acq, {}, &history, &rng);
     double dt = NowSec() - t0;
     out->assign(r.config.values().begin(), r.config.values().end());
     out->push_back(r.acq_value);

@@ -84,7 +84,7 @@ RunHistory Locat::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
         EicAcquisition acq(&gp, incumbent);
         auto enc = [&](const Configuration& c) { return encode(c, hint); };
         AcqOptResult res =
-            acq_opt.Maximize(sub, enc, acq, nullptr, nullptr, &history, &rng);
+            acq_opt.Maximize(sub, enc, acq, {}, &history, &rng);
         next = res.config;
       } else {
         next = space.Sample(&rng);

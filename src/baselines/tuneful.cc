@@ -88,8 +88,8 @@ RunHistory Tuneful::Tune(const ConfigSpace& space, JobEvaluator* evaluator,
         auto encode = [&](const Configuration& c) {
           return space.ToUnit(c);
         };
-        AcqOptResult res = acq_opt.Maximize(sub, encode, acq, nullptr,
-                                            nullptr, &history, &rng);
+        AcqOptResult res =
+            acq_opt.Maximize(sub, encode, acq, {}, &history, &rng);
         next = res.config;
       } else {
         next = space.Sample(&rng);

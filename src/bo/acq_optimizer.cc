@@ -1,7 +1,7 @@
 #include "bo/acq_optimizer.h"
 
 #include <algorithm>
-#include <limits>
+#include <cstddef>
 
 #include "common/thread_pool.h"
 
@@ -10,11 +10,12 @@ namespace sparktune {
 AcquisitionOptimizer::AcquisitionOptimizer(AcqOptOptions options)
     : options_(options) {}
 
-AcqOptResult AcquisitionOptimizer::Maximize(
-    const Subspace& subspace, const EncodeFn& encode, const EicAcquisition& acq,
-    const SafeFn& safe, const UnsafetyFn& unsafety, const RunHistory* history,
-    Rng* rng, const SafeBatchFn& safe_batch,
-    const UnsafetyBatchFn& unsafety_batch) const {
+AcqOptResult AcquisitionOptimizer::Maximize(const Subspace& subspace,
+                                            const EncodeFn& encode,
+                                            const EicAcquisition& acq,
+                                            const SafetyHooks& safety,
+                                            const RunHistory* history,
+                                            Rng* rng) const {
   struct Scored {
     Configuration config;
     double value = 0.0;
@@ -47,86 +48,59 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     }
   }
 
-  // ---- Candidate evaluation (batched: one surrogate pass per stage) ----
-  struct CandEval {
-    bool dup = false;
-    bool is_safe = true;
-    double unsafety_value = 0.0;
-    double acq_value = 0.0;
-  };
-  std::vector<CandEval> evals(cands.size());
-  ParallelFor(options_.num_threads, cands.size(), [&](size_t i) {
-    evals[i].dup = history != nullptr && history->Contains(cands[i]);
-  });
-  std::vector<size_t> live;
-  live.reserve(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (!evals[i].dup) live.push_back(i);
-  }
-  if (!live.empty()) {
-    std::vector<Configuration> live_cfg;
-    live_cfg.reserve(live.size());
-    for (size_t i : live) live_cfg.push_back(cands[i]);
-    // Unsafety for every non-duplicate candidate (ranks the fallback).
-    if (unsafety_batch) {
-      std::vector<double> u = unsafety_batch(live_cfg);
-      for (size_t t = 0; t < live.size(); ++t) {
-        evals[live[t]].unsafety_value = u[t];
-      }
-    } else if (unsafety) {
-      ParallelFor(options_.num_threads, live.size(), [&](size_t t) {
-        evals[live[t]].unsafety_value = unsafety(live_cfg[t]);
-      });
+  // ---- Drop already-evaluated candidates, keeping candidate order ----
+  if (history != nullptr) {
+    std::vector<char> dup(cands.size());
+    ParallelFor(options_.num_threads, cands.size(),
+                [&](size_t i) { dup[i] = history->Contains(cands[i]); });
+    size_t kept = 0;
+    for (size_t i = 0; i < cands.size(); ++i) {
+      if (dup[i]) continue;
+      if (kept != i) cands[kept] = std::move(cands[i]);
+      ++kept;
     }
-    // Safe-region screen.
-    if (safe_batch) {
-      std::vector<char> s = safe_batch(live_cfg);
-      for (size_t t = 0; t < live.size(); ++t) {
-        evals[live[t]].is_safe = s[t] != 0;
-      }
-    } else if (safe) {
-      ParallelFor(options_.num_threads, live.size(), [&](size_t t) {
-        evals[live[t]].is_safe = safe(live_cfg[t]);
-      });
-    }
-    // Acquisition for the safe survivors: the whole pool in one batched
-    // surrogate pass instead of a Predict per candidate.
-    std::vector<size_t> scored;
-    std::vector<std::vector<double>> feats;
-    scored.reserve(live.size());
-    feats.reserve(live.size());
-    for (size_t t = 0; t < live.size(); ++t) {
-      if (!evals[live[t]].is_safe) continue;
-      scored.push_back(live[t]);
-      feats.push_back(encode(live_cfg[t]));
-    }
-    std::vector<double> acq_vals = acq.EvalBatch(feats);
-    for (size_t t = 0; t < scored.size(); ++t) {
-      evals[scored[t]].acq_value = acq_vals[t];
-    }
+    cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(kept),
+                cands.end());
   }
 
+  // ---- Candidate evaluation: one encoding per candidate, shared by the
+  // safety screen and the acquisition; one surrogate pass per stage ----
+  const size_t n = cands.size();
+  std::vector<std::vector<double>> feats(n);
+  ParallelFor(options_.num_threads, n,
+              [&](size_t i) { feats[i] = encode(cands[i]); });
+  std::vector<char> is_safe(n, 1);
+  std::vector<double> unsafety(n, 0.0);
+  if (safety.screen_batch) {
+    if (n > 0) safety.screen_batch(cands, feats, &is_safe, &unsafety);
+  } else if (safety.safe) {
+    ParallelFor(options_.num_threads, n, [&](size_t i) {
+      is_safe[i] = safety.safe(cands[i], feats[i]);
+    });
+  }
+  // Acquisition for the safe survivors: the whole pool in one batched
+  // surrogate pass; their encodings move into it.
+  std::vector<size_t> scored;
+  std::vector<std::vector<double>> scored_feats;
+  scored.reserve(n);
+  scored_feats.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!is_safe[i]) continue;
+    scored.push_back(i);
+    scored_feats.push_back(std::move(feats[i]));
+  }
+  std::vector<double> acq_vals = acq.EvalBatch(scored_feats);
+
   // ---- Serial fold in candidate order (same tie-breaking as serial) ----
+  // The fallback is the first candidate of least unsafety.
+  size_t least_unsafe = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (unsafety[i] < unsafety[least_unsafe]) least_unsafe = i;
+  }
   std::vector<Scored> pool;
-  pool.reserve(cands.size());
-  Configuration least_unsafe;
-  double least_unsafety = std::numeric_limits<double>::infinity();
-  bool have_any = false;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const CandEval& e = evals[i];
-    if (e.dup) continue;
-    if (unsafety) {
-      if (!have_any || e.unsafety_value < least_unsafety) {
-        least_unsafety = e.unsafety_value;
-        least_unsafe = cands[i];
-        have_any = true;
-      }
-    } else if (!have_any) {
-      least_unsafe = cands[i];
-      have_any = true;
-    }
-    if (!e.is_safe) continue;
-    pool.push_back({std::move(cands[i]), e.acq_value});
+  pool.reserve(scored.size());
+  for (size_t t = 0; t < scored.size(); ++t) {
+    pool.push_back({std::move(cands[scored[t]]), acq_vals[t]});
   }
 
   AcqOptResult result;
@@ -135,9 +109,14 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     // violation is smallest — the point most likely to extend the safe
     // region (SafeOpt-style expansion).
     result.safe_fallback_used = true;
-    result.config = have_any ? least_unsafe : subspace.Sample(rng);
     result.acq_value = 0.0;
-    result.raw_ei = acq.RawEi(encode(result.config));
+    if (n > 0) {
+      result.config = std::move(cands[least_unsafe]);
+      result.raw_ei = acq.RawEi(feats[least_unsafe]);
+    } else {
+      result.config = subspace.Sample(rng);
+      result.raw_ei = acq.RawEi(encode(result.config));
+    }
     return result;
   }
 
@@ -156,9 +135,12 @@ AcqOptResult AcquisitionOptimizer::Maximize(
     Configuration cur = pool[s].config;
     double cur_value = pool[s].value;
     double sigma = options_.local_sigma;
+    // Encoding of the latest draw, shared by the safety check and Eval.
+    std::vector<double> f;
     auto rejected = [&](const Configuration& c) {
-      return (history != nullptr && history->Contains(c)) ||
-             (safe && !safe(c));
+      if (history != nullptr && history->Contains(c)) return true;
+      f = encode(c);
+      return safety.safe && !safety.safe(c, f);
     };
     for (int step = 0; step < options_.local_steps; ++step) {
       Configuration cand = subspace.Neighbor(cur, sigma, crng);
@@ -175,7 +157,7 @@ AcqOptResult AcquisitionOptimizer::Maximize(
         sigma *= 0.9;
         continue;
       }
-      double v = acq.Eval(encode(cand));
+      double v = acq.Eval(f);
       if (v > cur_value) {
         cur = std::move(cand);
         cur_value = v;

@@ -41,32 +41,39 @@ struct AcqOptResult {
   bool safe_fallback_used = false;
 };
 
+// Safe-region hooks of one maximization (paper §4.2, Eq. 8). Each hook gets
+// a candidate's configuration together with its surrogate encoding, which
+// Maximize computes once per candidate and shares with acquisition scoring.
+struct SafetyHooks {
+  using Features = std::vector<double>;
+  // Safe-region membership; null = no safety filtering.
+  std::function<bool(const Configuration&, const Features&)> safe;
+  // Optional batched screen of the scattered pool, used there instead of
+  // `safe`: fills (*safe)[i] and (*unsafety)[i] for every candidate in one
+  // pass (both pre-sized: all safe, unsafety 0). Unsafety is the degree of
+  // safe-region violation (<= 0 means safe) and ranks the fallback
+  // candidates; without this screen they rank equal and the first one is
+  // the fallback. Its safe verdicts must agree bit-for-bit with `safe`,
+  // which the hill climbs keep using.
+  std::function<void(const std::vector<Configuration>&,
+                     const std::vector<Features>&, std::vector<char>* safe,
+                     std::vector<double>* unsafety)>
+      screen_batch;
+};
+
 class AcquisitionOptimizer {
  public:
   using EncodeFn = std::function<std::vector<double>(const Configuration&)>;
-  // Safe-region membership; null = no safety filtering.
-  using SafeFn = std::function<bool(const Configuration&)>;
-  // Degree of safe-region violation (<= 0 means safe); used to rank
-  // fallback candidates.
-  using UnsafetyFn = std::function<double(const Configuration&)>;
-  // Optional batched counterparts used for the scattered candidate pool
-  // (the sequential hill climbs still use the per-point forms). When
-  // supplied they must agree bit-for-bit with safe/unsafety per element.
-  using SafeBatchFn =
-      std::function<std::vector<char>(const std::vector<Configuration>&)>;
-  using UnsafetyBatchFn =
-      std::function<std::vector<double>(const std::vector<Configuration>&)>;
 
   explicit AcquisitionOptimizer(AcqOptOptions options = {});
 
-  // Scores the scattered pool with batched surrogate inference (one
-  // EicAcquisition::EvalBatch pass, plus one batched safety screen when the
-  // batch hooks are given) — identical selection to per-point scoring.
+  // Encodes every non-duplicate candidate once, screens the scattered pool
+  // (one batched pass when safety.screen_batch is given) and scores its
+  // safe survivors with one EicAcquisition::EvalBatch pass — identical
+  // selection to per-point scoring.
   AcqOptResult Maximize(const Subspace& subspace, const EncodeFn& encode,
-                        const EicAcquisition& acq, const SafeFn& safe,
-                        const UnsafetyFn& unsafety, const RunHistory* history,
-                        Rng* rng, const SafeBatchFn& safe_batch = nullptr,
-                        const UnsafetyBatchFn& unsafety_batch = nullptr) const;
+                        const EicAcquisition& acq, const SafetyHooks& safety,
+                        const RunHistory* history, Rng* rng) const;
 
  private:
   AcqOptOptions options_;

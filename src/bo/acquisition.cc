@@ -116,24 +116,33 @@ std::vector<double> EicAcquisition::EvalBatch(
     if (ok) live.push_back(j);
   }
   if (live.empty()) return out;
-  std::vector<std::vector<double>> live_x;
-  live_x.reserve(live.size());
-  for (size_t j : live) live_x.push_back(xs[j]);
-  std::vector<double> ei = RawEiBatch(live_x);
+  // Surrogates score xs itself while every candidate is still in play, and
+  // a copied subset otherwise.
+  auto subset = [&xs](const std::vector<size_t>& idx) {
+    std::vector<std::vector<double>> sub;
+    sub.reserve(idx.size());
+    for (size_t j : idx) sub.push_back(xs[j]);
+    return sub;
+  };
+  std::vector<double> ei =
+      live.size() == xs.size() ? RawEiBatch(xs) : RawEiBatch(subset(live));
   // Constraint surrogates only score candidates with positive EI (Eval
   // never reaches the constraint product otherwise).
   std::vector<size_t> pos;
-  std::vector<std::vector<double>> pos_x;
+  pos.reserve(live.size());
   for (size_t t = 0; t < live.size(); ++t) {
     if (ei[t] > 0.0) {
       out[live[t]] = ei[t];
       pos.push_back(live[t]);
-      pos_x.push_back(std::move(live_x[t]));
     }
   }
-  if (pos.empty()) return out;
+  if (pos.empty() || constraints_.empty()) return out;
+  std::vector<std::vector<double>> pos_x;
+  if (pos.size() != xs.size()) pos_x = subset(pos);
+  const std::vector<std::vector<double>>& scored =
+      pos.size() == xs.size() ? xs : pos_x;
   for (const auto& c : constraints_) {
-    std::vector<double> probs = c.SatisfactionProbabilityBatch(pos_x);
+    std::vector<double> probs = c.SatisfactionProbabilityBatch(scored);
     for (size_t t = 0; t < pos.size(); ++t) out[pos[t]] *= probs[t];
   }
   return out;

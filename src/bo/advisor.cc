@@ -106,17 +106,14 @@ std::vector<FeatureKind> Advisor::Schema() const {
 std::vector<double> Advisor::Encode(const Configuration& c,
                                     double data_size_gb,
                                     double hours) const {
-  std::vector<double> context;
-  if (options_.datasize_aware) {
-    if (use_time_context_) {
-      context = TimeOfDayContext(hours >= 0.0 ? hours : 0.0);
-    } else {
-      double ds = data_size_gb >= 0.0 ? data_size_gb : 0.0;
-      context.push_back(
-          NormalizeDataSize(ds, options_.datasize_reference_gb));
-    }
+  if (!options_.datasize_aware) return EncodeFeatures(*space_, c);
+  if (use_time_context_) {
+    return EncodeFeatures(*space_, c,
+                          TimeOfDayContext(hours >= 0.0 ? hours : 0.0));
   }
-  return EncodeFeatures(*space_, c, context);
+  const double ds = NormalizeDataSize(data_size_gb >= 0.0 ? data_size_gb : 0.0,
+                                      options_.datasize_reference_gb);
+  return EncodeFeatures(*space_, c, {&ds, 1});
 }
 
 Configuration Advisor::BestConfig() const {
@@ -403,109 +400,63 @@ Configuration Advisor::Suggest(double datasize_hint_gb,
   const bool use_resource_constraint =
       options_.enable_eic && options_.objective.has_resource_constraint();
 
-  // Deterministic white-box resource check inside the acquisition.
-  AcquisitionOptimizer::SafeFn safe;
-  AcquisitionOptimizer::UnsafetyFn unsafety;
-  AcquisitionOptimizer::SafeBatchFn safe_batch;
-  AcquisitionOptimizer::UnsafetyBatchFn unsafety_batch;
+  // Deterministic white-box resource check inside the acquisition. Every
+  // hook reads R(x) once per candidate and reuses the encoding Maximize
+  // already computed.
+  SafetyHooks safety;
   double gamma = options_.safety_gamma;
+  const double resource_max = options_.objective.resource_max;
   if (options_.enable_safety &&
       (use_runtime_constraint || use_resource_constraint)) {
-    safe = [&, gamma](const Configuration& c) {
-      if (use_resource_constraint &&
-          options_.resource_fn(c) > options_.objective.resource_max) {
+    safety.safe = [&, gamma](const Configuration& c,
+                             const std::vector<double>& f) {
+      if (use_resource_constraint && options_.resource_fn(c) > resource_max) {
         return false;
       }
       if (use_runtime_constraint &&
-          !runtime_constraint.InSafeRegion(encode(c), gamma)) {
+          !runtime_constraint.InSafeRegion(f, gamma)) {
         return false;
       }
       return true;
     };
-    unsafety = [&, gamma](const Configuration& c) {
-      double worst = 0.0;
-      if (use_resource_constraint) {
-        worst = std::max(worst,
-                         options_.resource_fn(c) /
-                                 options_.objective.resource_max -
-                             1.0);
-      }
-      if (use_runtime_constraint) {
-        worst = std::max(worst, runtime_constraint.UpperBound(encode(c),
-                                                              gamma) /
-                                        runtime_threshold -
-                                    1.0);
-      }
-      return worst;
-    };
-    // Batched screens for the scattered candidate pool: one runtime-
-    // surrogate PredictBatch over the pool instead of a Predict per
-    // candidate. Element-wise identical to safe/unsafety above.
-    safe_batch = [&, gamma](const std::vector<Configuration>& cs) {
-      std::vector<char> out(cs.size(), 1);
+    // Batched screen for the scattered candidate pool, which also ranks
+    // it by unsafety: one runtime-surrogate PredictBatch serves both.
+    // Element-wise identical to `safe` above.
+    safety.screen_batch = [&, gamma](const std::vector<Configuration>& cs,
+                                     const std::vector<std::vector<double>>& fs,
+                                     std::vector<char>* safe,
+                                     std::vector<double>* unsafety) {
       if (use_resource_constraint) {
         for (size_t j = 0; j < cs.size(); ++j) {
-          if (options_.resource_fn(cs[j]) > options_.objective.resource_max) {
-            out[j] = 0;
-          }
+          const double r = options_.resource_fn(cs[j]);
+          if (r > resource_max) (*safe)[j] = 0;
+          (*unsafety)[j] = std::max(0.0, r / resource_max - 1.0);
         }
       }
       if (use_runtime_constraint) {
-        std::vector<size_t> idx;
-        std::vector<std::vector<double>> feats;
-        idx.reserve(cs.size());
-        feats.reserve(cs.size());
+        std::vector<double> up = runtime_constraint.UpperBoundBatch(fs, gamma);
         for (size_t j = 0; j < cs.size(); ++j) {
-          if (!out[j]) continue;
-          idx.push_back(j);
-          feats.push_back(encode(cs[j]));
-        }
-        std::vector<double> up =
-            runtime_constraint.UpperBoundBatch(feats, gamma);
-        for (size_t t = 0; t < idx.size(); ++t) {
-          if (up[t] > runtime_constraint.threshold) out[idx[t]] = 0;
+          if (up[j] > runtime_constraint.threshold) (*safe)[j] = 0;
+          (*unsafety)[j] =
+              std::max((*unsafety)[j], up[j] / runtime_threshold - 1.0);
         }
       }
-      return out;
-    };
-    unsafety_batch = [&, gamma](const std::vector<Configuration>& cs) {
-      std::vector<double> out(cs.size(), 0.0);
-      if (use_resource_constraint) {
-        for (size_t j = 0; j < cs.size(); ++j) {
-          out[j] = std::max(out[j], options_.resource_fn(cs[j]) /
-                                            options_.objective.resource_max -
-                                        1.0);
-        }
-      }
-      if (use_runtime_constraint) {
-        std::vector<std::vector<double>> feats;
-        feats.reserve(cs.size());
-        for (const Configuration& c : cs) feats.push_back(encode(c));
-        std::vector<double> up =
-            runtime_constraint.UpperBoundBatch(feats, gamma);
-        for (size_t j = 0; j < cs.size(); ++j) {
-          out[j] = std::max(out[j], up[j] / runtime_threshold - 1.0);
-        }
-      }
-      return out;
     };
   } else if (use_resource_constraint) {
     // Even without the safety component, hard white-box constraints are
     // honored inside EIC.
     acq.AddDeterministicConstraint(
         [this](const std::vector<double>&) { return true; });
-    safe = [&](const Configuration& c) {
-      return options_.resource_fn(c) <= options_.objective.resource_max;
+    safety.safe = [&](const Configuration& c, const std::vector<double>&) {
+      return options_.resource_fn(c) <= resource_max;
     };
   }
 
   AcqOptResult res =
-      acq_opt_.Maximize(sub, encode, acq, safe, unsafety, &history_, &rng_,
-                        safe_batch, unsafety_batch);
+      acq_opt_.Maximize(sub, encode, acq, safety, &history_, &rng_);
   if (sub_default.has_value()) {
     AcqOptResult alt =
-        acq_opt_.Maximize(*sub_default, encode, acq, safe, unsafety,
-                          &history_, &rng_, safe_batch, unsafety_batch);
+        acq_opt_.Maximize(*sub_default, encode, acq, safety, &history_, &rng_);
     if ((res.safe_fallback_used && !alt.safe_fallback_used) ||
         (res.safe_fallback_used == alt.safe_fallback_used &&
          alt.acq_value > res.acq_value)) {

@@ -112,19 +112,20 @@ double RunHistory::BestObjective() const {
 }
 
 uint64_t RunHistory::ConfigKey(const Configuration& config) {
-  // FNV-1a over the value bit patterns.
-  uint64_t h = 0xcbf29ce484222325ULL;
+  // One multiply-xorshift round per coordinate's 64-bit pattern, then a
+  // SplitMix64 finalizer so every input bit reaches the low bits the
+  // bucket index uses.
+  uint64_t h = 0xcbf29ce484222325ULL ^ config.size();
   for (double v : config.values()) {
     if (v == 0.0) v = 0.0;  // -0.0 == 0.0 must hash identically
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (bits >> shift) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
+    h = (h ^ bits) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
   }
-  h ^= config.size();
-  return h;
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
 }
 
 bool RunHistory::ConfigEquals(size_t i, const Configuration& config) const {

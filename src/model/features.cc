@@ -21,8 +21,13 @@ std::vector<FeatureKind> BuildFeatureSchema(const ConfigSpace& space,
 
 std::vector<double> EncodeFeatures(const ConfigSpace& space,
                                    const Configuration& c,
-                                   const std::vector<double>& context) {
-  std::vector<double> features = space.ToUnit(c);
+                                   std::span<const double> context) {
+  assert(c.size() == space.size());
+  std::vector<double> features;
+  features.reserve(space.size() + context.size());
+  for (size_t i = 0; i < space.size(); ++i) {
+    features.push_back(space.param(i).ToUnit(c[i]));
+  }
   features.insert(features.end(), context.begin(), context.end());
   return features;
 }
@@ -32,7 +37,7 @@ double NormalizeDataSize(double data_size_gb, double reference_gb) {
   return std::log1p(std::max(0.0, data_size_gb)) / std::log1p(reference_gb);
 }
 
-std::vector<double> TimeOfDayContext(double hours_since_epoch) {
+std::array<double, 2> TimeOfDayContext(double hours_since_epoch) {
   double hour_of_day = std::fmod(hours_since_epoch, 24.0) / 24.0;
   double day_of_week = std::fmod(hours_since_epoch / 24.0, 7.0) / 7.0;
   return {hour_of_day, day_of_week};

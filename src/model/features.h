@@ -5,6 +5,8 @@
 // kDataSize-kind features handled by the SE kernel.
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "model/kernel.h"
@@ -18,11 +20,11 @@ namespace sparktune {
 std::vector<FeatureKind> BuildFeatureSchema(const ConfigSpace& space,
                                             int num_context_features = 0);
 
-// Encode a configuration (unit-cube per parameter) and append the given
-// pre-normalized context features.
+// Encode a configuration (unit-cube per parameter) followed by the given
+// pre-normalized context features, into one vector allocated once.
 std::vector<double> EncodeFeatures(const ConfigSpace& space,
                                    const Configuration& c,
-                                   const std::vector<double>& context = {});
+                                   std::span<const double> context = {});
 
 // Normalize a data size (GB) into a stable [0, ~1] coordinate:
 // log1p(ds) / log1p(reference). Values above reference saturate >1 softly.
@@ -30,6 +32,6 @@ double NormalizeDataSize(double data_size_gb, double reference_gb);
 
 // Context encoding for periodic jobs without visible data size: hour of day
 // and day of week on the unit circle -> 2 features in [0,1].
-std::vector<double> TimeOfDayContext(double hours_since_epoch);
+std::array<double, 2> TimeOfDayContext(double hours_since_epoch);
 
 }  // namespace sparktune

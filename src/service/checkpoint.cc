@@ -44,6 +44,40 @@ void SetFiniteNumber(Json* j, const char* key, double v) {
   if (std::isfinite(v)) j->Set(key, Json::Number(v));
 }
 
+// Checked integer fields. A field that is missing or not a number reads as
+// 0, as GetNumberOr(key, 0) did; a number that is not finite, not integral
+// or outside the field's type is kDataLoss naming the key (a plain
+// static_cast of such a double is undefined behaviour). Keeps the first
+// error.
+class IntFields {
+ public:
+  IntFields(const Json& j, const char* what) : j_(j), what_(what) {}
+
+  template <typename T>
+  void Read(const char* key, T* out) {
+    *out = 0;
+    const Json* v = j_.Get(key);
+    if (v == nullptr || !v->is_number()) return;
+    const double d = v->AsNumber();
+    // [lo, hi) is exactly the range of T: both bounds are powers of two.
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+    if (std::isfinite(d) && d == std::trunc(d) && d >= lo && d < hi) {
+      *out = static_cast<T>(d);
+    } else if (status_.ok()) {
+      status_ = Status::DataLoss(
+          StrFormat("%s: %s is not an integer in range", what_, key));
+    }
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const Json& j_;
+  const char* what_;
+  Status status_;
+};
+
 Json RngStateToJson(const RngState& s) {
   Json j = Json::Object();
   Json words = Json::Array();
@@ -82,17 +116,19 @@ Json SubspaceStateToJson(const SubspaceState& s) {
   return j;
 }
 
-SubspaceState SubspaceStateFromJson(const Json& j) {
+Result<SubspaceState> SubspaceStateFromJson(const Json& j) {
   SubspaceState s;
-  s.k = static_cast<int>(j.GetNumberOr("k", 0.0));
-  s.succ_count = static_cast<int>(j.GetNumberOr("succ_count", 0.0));
-  s.fail_count = static_cast<int>(j.GetNumberOr("fail_count", 0.0));
+  IntFields ints(j, "subspace state");
+  ints.Read("k", &s.k);
+  ints.Read("succ_count", &s.succ_count);
+  ints.Read("fail_count", &s.fail_count);
   if (const Json* imp = j.Get("importance")) {
     s.importance = VectorFromJson(*imp);
   }
   s.importance_weight = j.GetNumberOr("importance_weight", 0.0);
-  s.num_updates = static_cast<int>(j.GetNumberOr("num_updates", 0.0));
+  ints.Read("num_updates", &s.num_updates);
   s.last_fanova_size = U64FromJson(j, "last_fanova_size");
+  SPARKTUNE_RETURN_IF_ERROR(ints.status());
   return s;
 }
 
@@ -108,16 +144,14 @@ Json DegradationToJson(const DegradationStats& d) {
   return j;
 }
 
-DegradationStats DegradationFromJson(const Json& j) {
+Result<DegradationStats> DegradationFromJson(const Json& j) {
   DegradationStats d;
-  d.fit_failures =
-      static_cast<long long>(j.GetNumberOr("fit_failures", 0.0));
-  d.previous_model_reuses =
-      static_cast<long long>(j.GetNumberOr("previous_model_reuses", 0.0));
-  d.prior_only_fits =
-      static_cast<long long>(j.GetNumberOr("prior_only_fits", 0.0));
-  d.fallback_suggestions =
-      static_cast<long long>(j.GetNumberOr("fallback_suggestions", 0.0));
+  IntFields ints(j, "degradation stats");
+  ints.Read("fit_failures", &d.fit_failures);
+  ints.Read("previous_model_reuses", &d.previous_model_reuses);
+  ints.Read("prior_only_fits", &d.prior_only_fits);
+  ints.Read("fallback_suggestions", &d.fallback_suggestions);
+  SPARKTUNE_RETURN_IF_ERROR(ints.status());
   return d;
 }
 
@@ -152,7 +186,8 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
   s.rng = rng_state;
   s.init_sampler_generated = U64FromJson(j, "init_sampler_generated");
   if (const Json* sub = j.Get("subspace"); sub && sub->is_object()) {
-    s.subspace = SubspaceStateFromJson(*sub);
+    SPARKTUNE_ASSIGN_OR_RETURN(subspace, SubspaceStateFromJson(*sub));
+    s.subspace = std::move(subspace);
   }
   if (const Json* obs = j.Get("observations"); obs && obs->is_array()) {
     for (const auto& e : obs->elements()) {
@@ -169,11 +204,14 @@ Result<AdvisorState> AdvisorStateFromJson(const Json& j,
       s.warm_start.emplace_back(VectorFromJson(e));
     }
   }
-  s.suggestions = static_cast<int>(j.GetNumberOr("suggestions", 0.0));
+  IntFields ints(j, "advisor state");
+  ints.Read("suggestions", &s.suggestions);
+  SPARKTUNE_RETURN_IF_ERROR(ints.status());
   s.init_served = U64FromJson(j, "init_served");
   s.use_time_context = j.GetBoolOr("use_time_context", false);
   if (const Json* deg = j.Get("degradation"); deg && deg->is_object()) {
-    s.degradation = DegradationFromJson(*deg);
+    SPARKTUNE_ASSIGN_OR_RETURN(degradation, DegradationFromJson(*deg));
+    s.degradation = degradation;
   }
   return s;
 }
@@ -204,7 +242,14 @@ Result<TunerState> TunerStateFromJson(const Json& j,
                                       const ConfigSpace& space) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   TunerState s;
-  s.phase = static_cast<int>(j.GetNumberOr("phase", 0.0));
+  IntFields ints(j, "tuner state");
+  ints.Read("phase", &s.phase);
+  ints.Read("tuning_iterations", &s.tuning_iterations);
+  ints.Read("executions", &s.executions);
+  ints.Read("restarts", &s.restarts);
+  ints.Read("degradation_streak", &s.degradation_streak);
+  ints.Read("pending_attempts", &s.pending_attempts);
+  SPARKTUNE_RETURN_IF_ERROR(ints.status());
   if (s.phase < 0 || s.phase > 2) {
     return Status::DataLoss("tuner state: phase out of range");
   }
@@ -216,21 +261,13 @@ Result<TunerState> TunerStateFromJson(const Json& j,
     s.baseline_obs = *std::move(o);
   }
   // A legacy "applied_history" array is skipped: nothing reads it.
-  s.tuning_iterations =
-      static_cast<int>(j.GetNumberOr("tuning_iterations", 0.0));
-  s.executions = static_cast<int>(j.GetNumberOr("executions", 0.0));
   s.stopped_early = j.GetBoolOr("stopped_early", false);
-  s.restarts = static_cast<int>(j.GetNumberOr("restarts", 0.0));
-  s.degradation_streak =
-      static_cast<int>(j.GetNumberOr("degradation_streak", 0.0));
   if (const Json* pc = j.Get("pending_config"); pc != nullptr) {
     if (!pc->is_array() || pc->size() != space.size()) {
       return Status::DataLoss("tuner state: pending-config width mismatch");
     }
     s.pending_config = Configuration(VectorFromJson(*pc));
   }
-  s.pending_attempts =
-      static_cast<int>(j.GetNumberOr("pending_attempts", 0.0));
   s.has_advisor = j.GetBoolOr("has_advisor", false);
   if (s.has_advisor) {
     const Json* adv = j.Get("advisor");
@@ -257,21 +294,18 @@ Json RetryStateToJson(const RetryState& s) {
   return j;
 }
 
-RetryState RetryStateFromJson(const Json& j) {
+Result<RetryState> RetryStateFromJson(const Json& j) {
   RetryState s;
-  s.consecutive_infra =
-      static_cast<int>(j.GetNumberOr("consecutive_infra", 0.0));
-  s.backoff_remaining =
-      static_cast<int>(j.GetNumberOr("backoff_remaining", 0.0));
+  IntFields ints(j, "retry state");
+  ints.Read("consecutive_infra", &s.consecutive_infra);
+  ints.Read("backoff_remaining", &s.backoff_remaining);
   s.parked = j.GetBoolOr("parked", false);
-  s.park_cooldown = static_cast<int>(j.GetNumberOr("park_cooldown", 0.0));
-  s.infra_failures =
-      static_cast<long long>(j.GetNumberOr("infra_failures", 0.0));
-  s.backoff_skips =
-      static_cast<long long>(j.GetNumberOr("backoff_skips", 0.0));
-  s.park_events = static_cast<long long>(j.GetNumberOr("park_events", 0.0));
-  s.degraded_runs =
-      static_cast<long long>(j.GetNumberOr("degraded_runs", 0.0));
+  ints.Read("park_cooldown", &s.park_cooldown);
+  ints.Read("infra_failures", &s.infra_failures);
+  ints.Read("backoff_skips", &s.backoff_skips);
+  ints.Read("park_events", &s.park_events);
+  ints.Read("degraded_runs", &s.degraded_runs);
+  SPARKTUNE_RETURN_IF_ERROR(ints.status());
   return s;
 }
 
@@ -317,12 +351,14 @@ Result<TaskCheckpoint> TaskCheckpointFromJson(const Json& j,
   }
   ckpt.meta_attached = j.GetBoolOr("meta_attached", false);
   ckpt.harvested = j.GetBoolOr("harvested", false);
-  ckpt.harvested_size =
-      static_cast<uint64_t>(j.GetNumberOr("harvested_size", 0.0));
+  IntFields ints(j, "task checkpoint");
+  ints.Read("harvested_size", &ckpt.harvested_size);
+  ints.Read("periods", &ckpt.periods);
+  SPARKTUNE_RETURN_IF_ERROR(ints.status());
   if (const Json* retry = j.Get("retry"); retry && retry->is_object()) {
-    ckpt.retry = RetryStateFromJson(*retry);
+    SPARKTUNE_ASSIGN_OR_RETURN(retry_state, RetryStateFromJson(*retry));
+    ckpt.retry = retry_state;
   }
-  ckpt.periods = static_cast<long long>(j.GetNumberOr("periods", 0.0));
   return ckpt;
 }
 

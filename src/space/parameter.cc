@@ -20,6 +20,7 @@ Parameter Parameter::Int(std::string name, int64_t lo, int64_t hi,
   p.hi_ = static_cast<double>(hi);
   p.log_scale_ = log_scale;
   p.default_value_ = static_cast<double>(default_value);
+  p.CacheLogBounds();
   return p;
 }
 
@@ -35,6 +36,7 @@ Parameter Parameter::Float(std::string name, double lo, double hi,
   p.hi_ = hi;
   p.log_scale_ = log_scale;
   p.default_value_ = default_value;
+  p.CacheLogBounds();
   return p;
 }
 
@@ -64,6 +66,12 @@ Parameter Parameter::Bool(std::string name, bool default_value) {
   return p;
 }
 
+void Parameter::CacheLogBounds() {
+  if (!log_scale_) return;
+  log_lo_ = std::log(lo_);
+  log_span_ = std::log(hi_) - log_lo_;
+}
+
 double Parameter::ToUnit(double value) const {
   switch (type_) {
     case ParamType::kInt:
@@ -71,8 +79,7 @@ double Parameter::ToUnit(double value) const {
       if (hi_ == lo_) return 0.5;
       if (log_scale_) {
         double lv = std::log(std::max(value, lo_));
-        return std::clamp((lv - std::log(lo_)) / (std::log(hi_) - std::log(lo_)),
-                          0.0, 1.0);
+        return std::clamp((lv - log_lo_) / log_span_, 0.0, 1.0);
       }
       return std::clamp((value - lo_) / (hi_ - lo_), 0.0, 1.0);
     }
@@ -92,7 +99,7 @@ double Parameter::FromUnit(double unit) const {
     case ParamType::kInt: {
       double v;
       if (log_scale_) {
-        v = std::exp(std::log(lo_) + unit * (std::log(hi_) - std::log(lo_)));
+        v = std::exp(log_lo_ + unit * log_span_);
       } else {
         v = lo_ + unit * (hi_ - lo_);
       }
@@ -100,7 +107,7 @@ double Parameter::FromUnit(double unit) const {
     }
     case ParamType::kFloat: {
       if (log_scale_) {
-        return std::exp(std::log(lo_) + unit * (std::log(hi_) - std::log(lo_)));
+        return std::exp(log_lo_ + unit * log_span_);
       }
       return lo_ + unit * (hi_ - lo_);
     }

@@ -51,12 +51,17 @@ class Parameter {
 
  private:
   Parameter() = default;
+  void CacheLogBounds();
 
   std::string name_;
   ParamType type_ = ParamType::kFloat;
   double lo_ = 0.0;
   double hi_ = 1.0;
   bool log_scale_ = false;
+  // log(lo) and log(hi) - log(lo) of a log-scale numeric, computed once at
+  // construction; the unit codec's hot path reuses them.
+  double log_lo_ = 0.0;
+  double log_span_ = 0.0;
   double default_value_ = 0.0;
   std::vector<std::string> categories_;
 };

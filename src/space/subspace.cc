@@ -63,20 +63,29 @@ std::vector<double> Subspace::ToFreeUnit(const Configuration& c) const {
 
 Configuration Subspace::Neighbor(const Configuration& c, double sigma,
                                  Rng* rng) const {
-  std::vector<double> u = ToFreeUnit(c);
+  // Every free dim goes through the unit codec, perturbed or not; pinned
+  // dims come from base.
+  Configuration out = base_;
   bool changed = false;
   double p_mutate = free_.empty() ? 0.0 : 1.0 / static_cast<double>(free_.size());
-  for (size_t k = 0; k < u.size(); ++k) {
+  for (int idx : free_) {
+    const Parameter& p = space_->param(static_cast<size_t>(idx));
+    double u = p.ToUnit(c[static_cast<size_t>(idx)]);
     if (rng->Bernoulli(p_mutate)) {
-      u[k] = std::clamp(u[k] + rng->Normal(0.0, sigma), 0.0, 1.0);
+      u = std::clamp(u + rng->Normal(0.0, sigma), 0.0, 1.0);
       changed = true;
     }
+    out[static_cast<size_t>(idx)] = p.FromUnit(u);
   }
-  if (!changed && !u.empty()) {
-    size_t k = static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(u.size()) - 1));
-    u[k] = std::clamp(u[k] + rng->Normal(0.0, sigma), 0.0, 1.0);
+  if (!changed && !free_.empty()) {
+    const size_t k = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(free_.size()) - 1));
+    const size_t idx = static_cast<size_t>(free_[k]);
+    const Parameter& p = space_->param(idx);
+    out[idx] = p.FromUnit(
+        std::clamp(p.ToUnit(c[idx]) + rng->Normal(0.0, sigma), 0.0, 1.0));
   }
-  return FromFreeUnit(u);
+  return out;
 }
 
 Configuration Subspace::Project(const Configuration& c) const {

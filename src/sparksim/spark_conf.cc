@@ -75,47 +75,87 @@ ConfigSpace BuildSparkSpace(const ClusterSpec& cluster) {
   return space;
 }
 
-SparkConf DecodeSparkConf(const ConfigSpace& space, const Configuration& c) {
+SparkConfLayout::SparkConfLayout(const ConfigSpace& space) {
   namespace sp = spark_param;
-  auto get = [&](const char* name) { return space.Get(c, name); };
+  auto at = [&space](const char* name) {
+    int i = space.IndexOf(name);
+    assert(i >= 0 && "unknown parameter name");
+    return static_cast<size_t>(i);
+  };
+  executor_instances_ = at(sp::kExecutorInstances);
+  executor_cores_ = at(sp::kExecutorCores);
+  executor_memory_ = at(sp::kExecutorMemory);
+  executor_memory_overhead_ = at(sp::kExecutorMemoryOverhead);
+  driver_cores_ = at(sp::kDriverCores);
+  driver_memory_ = at(sp::kDriverMemory);
+  default_parallelism_ = at(sp::kDefaultParallelism);
+  sql_shuffle_partitions_ = at(sp::kSqlShufflePartitions);
+  memory_fraction_ = at(sp::kMemoryFraction);
+  memory_storage_fraction_ = at(sp::kMemoryStorageFraction);
+  shuffle_compress_ = at(sp::kShuffleCompress);
+  shuffle_spill_compress_ = at(sp::kShuffleSpillCompress);
+  broadcast_compress_ = at(sp::kBroadcastCompress);
+  rdd_compress_ = at(sp::kRddCompress);
+  io_codec_ = at(sp::kIoCompressionCodec);
+  serializer_ = at(sp::kSerializer);
+  kryo_buffer_kb_ = at(sp::kKryoBufferKb);
+  kryo_buffer_max_mb_ = at(sp::kKryoBufferMaxMb);
+  reducer_max_size_in_flight_ = at(sp::kReducerMaxSizeInFlight);
+  shuffle_file_buffer_ = at(sp::kShuffleFileBuffer);
+  shuffle_sort_bypass_merge_threshold_ =
+      at(sp::kShuffleSortBypassMergeThreshold);
+  shuffle_io_num_connections_per_peer_ =
+      at(sp::kShuffleIoNumConnectionsPerPeer);
+  speculation_ = at(sp::kSpeculation);
+  speculation_multiplier_ = at(sp::kSpeculationMultiplier);
+  locality_wait_ = at(sp::kLocalityWait);
+  scheduler_revive_interval_ = at(sp::kSchedulerReviveInterval);
+  task_max_failures_ = at(sp::kTaskMaxFailures);
+  broadcast_block_size_ = at(sp::kBroadcastBlockSize);
+  storage_memory_map_threshold_ = at(sp::kStorageMemoryMapThreshold);
+  network_timeout_ = at(sp::kNetworkTimeout);
+}
+
+SparkConf SparkConfLayout::Decode(const Configuration& c) const {
   SparkConf conf;
-  conf.executor_instances = static_cast<int>(get(sp::kExecutorInstances));
-  conf.executor_cores = static_cast<int>(get(sp::kExecutorCores));
-  conf.executor_memory_gb = get(sp::kExecutorMemory);
-  conf.executor_memory_overhead_mb = get(sp::kExecutorMemoryOverhead);
-  conf.driver_cores = static_cast<int>(get(sp::kDriverCores));
-  conf.driver_memory_gb = get(sp::kDriverMemory);
-  conf.default_parallelism = static_cast<int>(get(sp::kDefaultParallelism));
-  conf.sql_shuffle_partitions =
-      static_cast<int>(get(sp::kSqlShufflePartitions));
-  conf.memory_fraction = get(sp::kMemoryFraction);
-  conf.memory_storage_fraction = get(sp::kMemoryStorageFraction);
-  conf.shuffle_compress = get(sp::kShuffleCompress) >= 0.5;
-  conf.shuffle_spill_compress = get(sp::kShuffleSpillCompress) >= 0.5;
-  conf.broadcast_compress = get(sp::kBroadcastCompress) >= 0.5;
-  conf.rdd_compress = get(sp::kRddCompress) >= 0.5;
-  conf.io_codec = static_cast<Codec>(
-      static_cast<int>(get(sp::kIoCompressionCodec)));
+  conf.executor_instances = static_cast<int>(c[executor_instances_]);
+  conf.executor_cores = static_cast<int>(c[executor_cores_]);
+  conf.executor_memory_gb = c[executor_memory_];
+  conf.executor_memory_overhead_mb = c[executor_memory_overhead_];
+  conf.driver_cores = static_cast<int>(c[driver_cores_]);
+  conf.driver_memory_gb = c[driver_memory_];
+  conf.default_parallelism = static_cast<int>(c[default_parallelism_]);
+  conf.sql_shuffle_partitions = static_cast<int>(c[sql_shuffle_partitions_]);
+  conf.memory_fraction = c[memory_fraction_];
+  conf.memory_storage_fraction = c[memory_storage_fraction_];
+  conf.shuffle_compress = c[shuffle_compress_] >= 0.5;
+  conf.shuffle_spill_compress = c[shuffle_spill_compress_] >= 0.5;
+  conf.broadcast_compress = c[broadcast_compress_] >= 0.5;
+  conf.rdd_compress = c[rdd_compress_] >= 0.5;
+  conf.io_codec = static_cast<Codec>(static_cast<int>(c[io_codec_]));
   conf.serializer =
-      static_cast<Serializer>(static_cast<int>(get(sp::kSerializer)));
-  conf.kryo_buffer_kb = get(sp::kKryoBufferKb);
-  conf.kryo_buffer_max_mb = get(sp::kKryoBufferMaxMb);
-  conf.reducer_max_size_in_flight_mb = get(sp::kReducerMaxSizeInFlight);
-  conf.shuffle_file_buffer_kb = get(sp::kShuffleFileBuffer);
+      static_cast<Serializer>(static_cast<int>(c[serializer_]));
+  conf.kryo_buffer_kb = c[kryo_buffer_kb_];
+  conf.kryo_buffer_max_mb = c[kryo_buffer_max_mb_];
+  conf.reducer_max_size_in_flight_mb = c[reducer_max_size_in_flight_];
+  conf.shuffle_file_buffer_kb = c[shuffle_file_buffer_];
   conf.shuffle_sort_bypass_merge_threshold =
-      static_cast<int>(get(sp::kShuffleSortBypassMergeThreshold));
+      static_cast<int>(c[shuffle_sort_bypass_merge_threshold_]);
   conf.shuffle_io_num_connections_per_peer =
-      static_cast<int>(get(sp::kShuffleIoNumConnectionsPerPeer));
-  conf.speculation = get(sp::kSpeculation) >= 0.5;
-  conf.speculation_multiplier = get(sp::kSpeculationMultiplier);
-  conf.locality_wait_sec = get(sp::kLocalityWait);
-  conf.scheduler_revive_interval_ms = get(sp::kSchedulerReviveInterval);
-  conf.task_max_failures = static_cast<int>(get(sp::kTaskMaxFailures));
-  conf.broadcast_block_size_mb = get(sp::kBroadcastBlockSize);
-  conf.storage_memory_map_threshold_mb =
-      get(sp::kStorageMemoryMapThreshold);
-  conf.network_timeout_sec = get(sp::kNetworkTimeout);
+      static_cast<int>(c[shuffle_io_num_connections_per_peer_]);
+  conf.speculation = c[speculation_] >= 0.5;
+  conf.speculation_multiplier = c[speculation_multiplier_];
+  conf.locality_wait_sec = c[locality_wait_];
+  conf.scheduler_revive_interval_ms = c[scheduler_revive_interval_];
+  conf.task_max_failures = static_cast<int>(c[task_max_failures_]);
+  conf.broadcast_block_size_mb = c[broadcast_block_size_];
+  conf.storage_memory_map_threshold_mb = c[storage_memory_map_threshold_];
+  conf.network_timeout_sec = c[network_timeout_];
   return conf;
+}
+
+SparkConf DecodeSparkConf(const ConfigSpace& space, const Configuration& c) {
+  return SparkConfLayout(space).Decode(c);
 }
 
 double ResourceFunction(const SparkConf& conf, double mem_weight) {

@@ -111,8 +111,33 @@ struct SparkConf {
   }
 };
 
-// Decode a configuration from `space` (must have been built by
-// BuildSparkSpace) into the typed view.
+// Where each Spark parameter sits in one ConfigSpace. The names are resolved
+// once, so any parameter order works; Decode then reads each field by index
+// (no name lookup or allocation per call). Fields mirror SparkConf's.
+class SparkConfLayout {
+ public:
+  // Asserts that `space` holds all 30 parameters, like ConfigSpace::Get.
+  explicit SparkConfLayout(const ConfigSpace& space);
+
+  SparkConf Decode(const Configuration& c) const;
+
+ private:
+  size_t executor_instances_, executor_cores_, executor_memory_,
+      executor_memory_overhead_, driver_cores_, driver_memory_,
+      default_parallelism_, sql_shuffle_partitions_, memory_fraction_,
+      memory_storage_fraction_, shuffle_compress_, shuffle_spill_compress_,
+      broadcast_compress_, rdd_compress_, io_codec_, serializer_,
+      kryo_buffer_kb_, kryo_buffer_max_mb_, reducer_max_size_in_flight_,
+      shuffle_file_buffer_, shuffle_sort_bypass_merge_threshold_,
+      shuffle_io_num_connections_per_peer_, speculation_,
+      speculation_multiplier_, locality_wait_, scheduler_revive_interval_,
+      task_max_failures_, broadcast_block_size_,
+      storage_memory_map_threshold_, network_timeout_;
+};
+
+// Decode a configuration from `space` (must hold every BuildSparkSpace
+// parameter) into the typed view. Resolves a SparkConfLayout per call;
+// callers that decode repeatedly keep the layout instead.
 SparkConf DecodeSparkConf(const ConfigSpace& space, const Configuration& c);
 
 // Resource function R(x) (paper §3.2/§4.3): amount of resource per unit

@@ -26,12 +26,11 @@ SimulatorEvaluator::SimulatorEvaluator(const ConfigSpace* space,
                                        WorkloadSpec workload,
                                        ClusterSpec cluster, DriftModel drift,
                                        SimulatorEvaluatorOptions options)
-    : space_(space),
+    : layout_(*space),
       workload_(std::move(workload)),
       drift_(drift),
       options_(options),
       simulator_(std::move(cluster), options.sim) {
-  assert(space_ != nullptr);
   assert(workload_.Valid());
 }
 
@@ -43,7 +42,7 @@ double SimulatorEvaluator::DataSizeForExecution(int index) const {
 
 JobEvaluator::Outcome SimulatorEvaluator::Run(const Configuration& config) {
   double data_gb = DataSizeForExecution(executions_);
-  SparkConf conf = DecodeSparkConf(*space_, config);
+  SparkConf conf = layout_.Decode(config);
   uint64_t run_seed =
       options_.seed * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(executions_);
   ExecutionResult result =
@@ -63,7 +62,7 @@ JobEvaluator::Outcome SimulatorEvaluator::Run(const Configuration& config) {
 }
 
 double SimulatorEvaluator::ResourceRate(const Configuration& config) const {
-  SparkConf conf = DecodeSparkConf(*space_, config);
+  SparkConf conf = layout_.Decode(config);
   return ResourceFunction(conf, options_.sim.mem_weight);
 }
 

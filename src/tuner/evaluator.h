@@ -10,6 +10,7 @@
 #include "sparksim/drift.h"
 #include "sparksim/event_log.h"
 #include "sparksim/runtime_model.h"
+#include "sparksim/spark_conf.h"
 #include "space/config_space.h"
 
 namespace sparktune {
@@ -87,7 +88,9 @@ class SimulatorEvaluator final : public JobEvaluator {
  private:
   double DataSizeForExecution(int index) const;
 
-  const ConfigSpace* space_;
+  // Parameter positions in the evaluator's space, resolved once; Run and
+  // ResourceRate decode through it.
+  SparkConfLayout layout_;
   WorkloadSpec workload_;
   DriftModel drift_;
   SimulatorEvaluatorOptions options_;

@@ -132,8 +132,7 @@ TEST(AcqOptimizerTest, FindsHighAcquisitionRegion) {
   AcquisitionOptimizer opt;
   Rng rng(1);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  AcqOptResult res =
-      opt.Maximize(full, encode, acq, nullptr, nullptr, nullptr, &rng);
+  AcqOptResult res = opt.Maximize(full, encode, acq, {}, nullptr, &rng);
   EXPECT_NEAR(res.config[0], 0.8, 0.15);
   EXPECT_NEAR(res.config[1], 0.2, 0.15);
   EXPECT_FALSE(res.safe_fallback_used);
@@ -151,10 +150,9 @@ TEST(AcqOptimizerTest, RespectsSafeFilter) {
   Rng rng(2);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
   // Safe region: a <= 0.5 only.
-  auto safe = [](const Configuration& c) { return c[0] <= 0.5; };
-  auto unsafety = [](const Configuration& c) { return c[0] - 0.5; };
-  AcqOptResult res = opt.Maximize(full, encode, acq, safe, unsafety,
-                                  nullptr, &rng);
+  SafetyHooks safety;
+  safety.safe = [](const Configuration& c, const auto&) { return c[0] <= 0.5; };
+  AcqOptResult res = opt.Maximize(full, encode, acq, safety, nullptr, &rng);
   EXPECT_LE(res.config[0], 0.5);
 }
 
@@ -168,11 +166,18 @@ TEST(AcqOptimizerTest, FallsBackToLeastUnsafeWhenNothingSafe) {
   AcquisitionOptimizer opt;
   Rng rng(3);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  auto safe = [](const Configuration&) { return false; };
+  SafetyHooks safety;
+  safety.safe = [](const Configuration&, const auto&) { return false; };
   // Unsafety decreases with a: the fallback should pick large a.
-  auto unsafety = [](const Configuration& c) { return 2.0 - c[0]; };
-  AcqOptResult res = opt.Maximize(full, encode, acq, safe, unsafety,
-                                  nullptr, &rng);
+  safety.screen_batch = [](const std::vector<Configuration>& cs, const auto&,
+                           std::vector<char>* safe,
+                           std::vector<double>* unsafety) {
+    for (size_t i = 0; i < cs.size(); ++i) {
+      (*safe)[i] = 0;
+      (*unsafety)[i] = 2.0 - cs[i][0];
+    }
+  };
+  AcqOptResult res = opt.Maximize(full, encode, acq, safety, nullptr, &rng);
   EXPECT_TRUE(res.safe_fallback_used);
   EXPECT_GT(res.config[0], 0.8);
 }
@@ -196,15 +201,14 @@ TEST(AcqOptimizerTest, SkipsAlreadyEvaluatedConfigs) {
   }
   Rng rng(4);  // same seed as probe: candidates collide with history
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  AcqOptResult res =
-      opt.Maximize(full, encode, acq, nullptr, nullptr, &history, &rng);
+  AcqOptResult res = opt.Maximize(full, encode, acq, {}, &history, &rng);
   EXPECT_FALSE(history.Contains(res.config));
 }
 
 TEST(AcqOptimizerTest, SmallPoolsStillGetIncumbentNeighbors) {
   // Regression: num_candidates < 8 used to truncate num_candidates / 8 to
   // zero incumbent neighbors, silently disabling local exploitation. Count
-  // candidate evaluations via the unsafety callback: 4 scattered + 1
+  // candidate evaluations via the batched screen: 4 scattered + 1
   // incumbent neighbor + 1 recent neighbor = 6 (the pre-fix code saw 5).
   ConfigSpace space = TwoDSpace();
   FakeSurrogate objective([](const std::vector<double>&) {
@@ -221,16 +225,17 @@ TEST(AcqOptimizerTest, SmallPoolsStillGetIncumbentNeighbors) {
   o.config = space.Default();
   o.feasible = true;
   history.Add(o);
-  int unsafety_calls = 0;
-  auto unsafety = [&](const Configuration&) {
-    ++unsafety_calls;
-    return -1.0;  // everything safe
+  size_t screened = 0;
+  SafetyHooks safety;
+  safety.screen_batch = [&](const std::vector<Configuration>& cs, const auto&,
+                            std::vector<char>*, std::vector<double>*) {
+    screened += cs.size();  // everything safe
   };
-  auto safe = [](const Configuration&) { return true; };
+  safety.safe = [](const Configuration&, const auto&) { return true; };
   Rng rng(9);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  opt.Maximize(full, encode, acq, safe, unsafety, &history, &rng);
-  EXPECT_EQ(unsafety_calls, 6);
+  opt.Maximize(full, encode, acq, safety, &history, &rng);
+  EXPECT_EQ(screened, 6u);
 }
 
 TEST(AcqOptimizerTest, RejectedClimbStepsRetryWithAnnealedSigma) {
@@ -252,14 +257,14 @@ TEST(AcqOptimizerTest, RejectedClimbStepsRetryWithAnnealedSigma) {
   opts.local_sigma = 0.5;  // wide draws: many land outside the safe region
   AcquisitionOptimizer opt(opts);
   int safe_calls = 0;
-  auto safe = [&](const Configuration& c) {
+  SafetyHooks safety;
+  safety.safe = [&](const Configuration& c, const auto&) {
     ++safe_calls;
     return c[0] <= 0.3;
   };
   Rng rng(17);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  AcqOptResult res =
-      opt.Maximize(full, encode, acq, safe, nullptr, nullptr, &rng);
+  AcqOptResult res = opt.Maximize(full, encode, acq, safety, nullptr, &rng);
   // No-retry floor: 64 candidate checks + 20 climb-step checks = 84.
   EXPECT_GT(safe_calls, 64 + 20);
   EXPECT_LE(res.config[0], 0.3);

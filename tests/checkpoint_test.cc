@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.h"
@@ -1050,6 +1052,41 @@ TEST(CheckpointDecoderFuzz, MutatedCheckpointsAreTypedNeverCrash) {
   // harmless.
   EXPECT_GT(decoded, kMutants / 20);
   EXPECT_GT(rejected, kMutants / 20);
+}
+
+TEST(CheckpointDecoderFuzz, NonIntegerCountersAreDataLoss) {
+  // Integer fields are range-checked before narrowing: casting 1e300 to
+  // int is undefined behaviour, so such a checkpoint must fail typed and
+  // name the key instead (and stay UBSan-clean).
+  Fixture f;
+  const std::string dir = TempDir("narrowing");
+  std::vector<Json> corpus = RealCheckpoints(&f, dir);
+  ASSERT_FALSE(corpus.empty());
+  auto with_tuner_field = [&](const char* key, double v) {
+    Json doc = corpus.front();
+    Json tuner = *doc.Get("tuner");
+    tuner.Set(key, Json::Number(v));
+    doc.Set("tuner", std::move(tuner));
+    return TaskCheckpointFromJson(doc, f.space);
+  };
+  const std::pair<const char*, double> bad[] = {
+      {"executions", 1e300},
+      {"phase", -1e300},
+      {"restarts", 2.5},
+      {"tuning_iterations", 2147483648.0},
+      {"pending_attempts", std::numeric_limits<double>::infinity()},
+  };
+  for (const auto& [key, v] : bad) {
+    auto ckpt = with_tuner_field(key, v);
+    ASSERT_FALSE(ckpt.ok()) << key;
+    EXPECT_EQ(ckpt.status().code(), Status::Code::kDataLoss) << key;
+    EXPECT_NE(ckpt.status().message().find(key), std::string::npos)
+        << ckpt.status().ToString();
+  }
+  // The int range itself still decodes.
+  auto edge = with_tuner_field("restarts", 2147483647.0);
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->tuner.restarts, 2147483647);
 }
 
 }  // namespace

@@ -172,8 +172,10 @@ TEST(DeterminismTest, AcquisitionMaximizeInvariantAcrossThreadCounts) {
   EicAcquisition acq(&gp, 0.5);
   Subspace full = Subspace::Full(&space);
   auto encode = [&](const Configuration& c) { return space.ToUnit(c); };
-  auto safe = [](const Configuration& c) { return c[0] + c[1] < 1.7; };
-  auto unsafety = [](const Configuration& c) { return c[0] + c[1] - 1.7; };
+  SafetyHooks safety;
+  safety.safe = [](const Configuration& c, const auto&) {
+    return c[0] + c[1] < 1.7;
+  };
   RunHistory history;
   Rng hist_rng(71);
   for (int i = 0; i < 6; ++i) {
@@ -192,7 +194,7 @@ TEST(DeterminismTest, AcquisitionMaximizeInvariantAcrossThreadCounts) {
     opts.num_threads = threads;
     AcquisitionOptimizer opt(opts);
     Rng rng(42);  // same seed both runs
-    return opt.Maximize(full, encode, acq, safe, unsafety, &history, &rng);
+    return opt.Maximize(full, encode, acq, safety, &history, &rng);
   };
   AcqOptResult r1 = run(1);
   AcqOptResult r4 = run(4);

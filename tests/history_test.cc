@@ -3,8 +3,10 @@
 // -0.0 == 0.0, NaN never matches) while being O(1) per lookup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "bo/history.h"
 
@@ -134,6 +136,52 @@ TEST(RunHistoryTest, LargeHistoryLookupsStayExact) {
   missing[0] = 0.025;  // between grid points
   missing[1] = 0.025;
   EXPECT_FALSE(h.Contains(missing));
+}
+
+TEST(RunHistoryTest, WordHashKeepsLookupSemantics) {
+  // ConfigKey mixes each coordinate's 64-bit pattern as one word; lookups
+  // must keep the exact-match semantics on a 30-parameter space.
+  ConfigSpace space;
+  for (int i = 0; i < 30; ++i) {
+    const std::string name = "p" + std::to_string(i);
+    Status s = i % 3 == 0
+                   ? space.Add(Parameter::Int(name, 1, 512, 4, true))
+                   : space.Add(Parameter::Float(name, -1.0, 1.0, 0.0));
+    ASSERT_TRUE(s.ok());
+  }
+  RunHistory h;
+  // 0.0 and -0.0 are one configuration: one index entry.
+  Configuration pos = space.Default();
+  Configuration neg = pos;
+  neg[1] = -0.0;
+  h.Add(Obs(pos));
+  EXPECT_TRUE(h.Contains(neg));
+  h.Add(Obs(neg));
+  EXPECT_EQ(h.IndexEntries(pos), 1u);
+  EXPECT_EQ(h.IndexEntries(neg), 1u);
+  // A NaN configuration never matches, not even itself.
+  Configuration nan = space.Default();
+  nan[2] = std::numeric_limits<double>::quiet_NaN();
+  h.Add(Obs(nan));
+  EXPECT_FALSE(h.Contains(nan));
+  // Re-adding the incumbent keeps its single entry.
+  Rng rng(8);
+  std::vector<Configuration> added;
+  for (int i = 0; i < 200; ++i) {
+    added.push_back(space.Sample(&rng));
+    h.Add(Obs(added.back()));
+  }
+  for (int i = 0; i < 20; ++i) h.Add(Obs(added[17], 0.5));
+  EXPECT_EQ(h.IndexEntries(added[17]), 1u);
+  for (const Configuration& c : added) EXPECT_TRUE(h.Contains(c));
+  // Unseen random configurations are never reported as evaluated.
+  int unseen = 0;
+  while (unseen < 10000) {
+    Configuration c = space.Sample(&rng);
+    if (std::find(added.begin(), added.end(), c) != added.end()) continue;
+    ++unseen;
+    ASSERT_FALSE(h.Contains(c)) << unseen;
+  }
 }
 
 }  // namespace

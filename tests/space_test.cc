@@ -1,11 +1,13 @@
 // Tests for parameters, ConfigSpace codec and Subspace projection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
 #include "space/config_space.h"
 #include "space/subspace.h"
+#include "reference_codec.h"
 
 namespace sparktune {
 namespace {
@@ -37,6 +39,39 @@ TEST(ParameterTest, LogScaleSpreadsSmallValues) {
   // 10 is near the bottom linearly but well inside the log scale.
   EXPECT_LT(lin.ToUnit(10.0), 0.02);
   EXPECT_GT(log.ToUnit(10.0), 0.3);
+}
+
+TEST(ParameterTest, CachedLogBoundsMatchClosedForm) {
+  // ToUnit/FromUnit reuse log(lo) and log(hi) - log(lo) cached at
+  // construction; every result must equal the closed form that recomputes
+  // the logs per call, bit for bit.
+  const std::vector<Parameter> params = {
+      Parameter::Int("i", 1, 1000, 8, true),
+      Parameter::Int("overhead", 384, 4096, 384, true),
+      Parameter::Int("pinned_i", 7, 7, 7, true),
+      Parameter::Float("f", 0.01, 50.0, 1.0, true),
+      Parameter::Float("wide", 1e-3, 1e3, 1.0, true),
+      Parameter::Float("pinned_f", 2.5, 2.5, 2.5, true),
+  };
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  Rng rng(31);
+  for (const Parameter& p : params) {
+    std::vector<double> values = {p.lo(), p.hi(), p.lo() * 0.5,
+                                  p.lo() * 1e-3, 0.0, p.hi() * 2.0};
+    std::vector<double> units = {0.0, 1.0, 0.5, -0.25, 1.25};
+    for (int k = 0; k < 200; ++k) {
+      values.push_back(p.lo() + rng.Uniform() * (p.hi() - p.lo()));
+      units.push_back(rng.Uniform());
+    }
+    for (double v : values) {
+      EXPECT_EQ(bits(p.ToUnit(v)), bits(reference::ToUnit(p, v)))
+          << p.name() << " v=" << v;
+    }
+    for (double u : units) {
+      EXPECT_EQ(bits(p.FromUnit(u)), bits(reference::FromUnit(p, u)))
+          << p.name() << " u=" << u;
+    }
+  }
 }
 
 TEST(ParameterTest, CategoricalBuckets) {

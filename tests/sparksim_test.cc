@@ -2,12 +2,16 @@
 // 30-parameter space, workload validity, drift.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.h"
 #include "sparksim/cluster.h"
 #include "sparksim/drift.h"
 #include "sparksim/hibench.h"
 #include "sparksim/spark_conf.h"
 #include "sparksim/workload.h"
+#include "reference_codec.h"
+#include "tuner/evaluator.h"
 
 namespace sparktune {
 namespace {
@@ -169,6 +173,68 @@ TEST(DriftTest, DiurnalOscillatesAroundBase) {
   EXPECT_NEAR(hi, 1.3, 0.02);
   // Periodicity.
   EXPECT_NEAR(d.Multiplier(3.0, 1, 0), d.Multiplier(27.0, 1, 0), 1e-9);
+}
+
+// The Spark parameters of `space`, re-added in a seeded random order.
+ConfigSpace ShuffledCopy(const ConfigSpace& space, uint64_t seed) {
+  std::vector<Parameter> params = space.params();
+  Rng rng(seed);
+  for (size_t i = params.size(); i > 1; --i) {
+    size_t j = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap(params[i - 1], params[j]);
+  }
+  ConfigSpace shuffled;
+  for (Parameter& p : params) EXPECT_TRUE(shuffled.Add(std::move(p)).ok());
+  return shuffled;
+}
+
+TEST(SparkConfTest, LayoutDecoderFollowsNamesNotPositions) {
+  // The resolved-index decoder (SparkConfLayout, behind
+  // SimulatorEvaluator::Run and ResourceRate) must match the by-name
+  // reference bit for bit on every field, including on a space that holds
+  // the same parameters in another order.
+  auto workload = HiBenchTask("WordCount");
+  ASSERT_TRUE(workload.ok());
+  for (const ClusterSpec& cluster :
+       {ClusterSpec::ProductionGroup(), ClusterSpec::SmallSqlGroup()}) {
+    ConfigSpace space = BuildSparkSpace(cluster);
+    ConfigSpace shuffled = ShuffledCopy(space, 77);
+    size_t moved = 0;
+    for (size_t j = 0; j < shuffled.size(); ++j) {
+      moved += shuffled.param(j).name() != space.param(j).name();
+    }
+    ASSERT_GT(moved, shuffled.size() / 2);
+    SparkConfLayout layout(space);
+    SparkConfLayout shuffled_layout(shuffled);
+    SimulatorEvaluatorOptions opts;
+    SimulatorEvaluator eval(&space, *workload, cluster, DriftModel::None(),
+                            opts);
+    SimulatorEvaluator shuffled_eval(&shuffled, *workload, cluster,
+                                     DriftModel::None(), opts);
+    Rng rng(2024);
+    for (int k = 0; k < 1000; ++k) {
+      Configuration c = space.Sample(&rng);
+      Configuration cs(std::vector<double>(shuffled.size()));
+      for (size_t j = 0; j < shuffled.size(); ++j) {
+        cs[j] = c[static_cast<size_t>(
+            space.IndexOf(shuffled.param(j).name()))];
+      }
+      const SparkConf ref = reference::DecodeSparkConfByName(space, c);
+      ASSERT_TRUE(reference::SameSparkConf(layout.Decode(c), ref)) << k;
+      ASSERT_TRUE(reference::SameSparkConf(DecodeSparkConf(space, c), ref));
+      ASSERT_TRUE(
+          reference::SameSparkConf(shuffled_layout.Decode(cs), ref));
+      ASSERT_TRUE(reference::SameSparkConf(
+          reference::DecodeSparkConfByName(shuffled, cs), ref));
+      const uint64_t want = std::bit_cast<uint64_t>(
+          ResourceFunction(ref, opts.sim.mem_weight));
+      ASSERT_EQ(std::bit_cast<uint64_t>(eval.ResourceRate(c)), want) << k;
+      ASSERT_EQ(std::bit_cast<uint64_t>(shuffled_eval.ResourceRate(cs)),
+                want)
+          << k;
+    }
+  }
 }
 
 TEST(DriftTest, NoiseIsDeterministicPerExecution) {

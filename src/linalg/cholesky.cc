@@ -143,16 +143,17 @@ Result<Cholesky> Cholesky::Factor(const Matrix& a, double initial_jitter,
       "matrix not positive definite even with jitter %g", max_jitter));
 }
 
-Vector Cholesky::SolveLower(const Vector& b) const {
+Vector Cholesky::SolveLower(Vector b) const {
   size_t n = l_.rows();
   assert(b.size() == n);
-  Vector y(n, 0.0);
+  // In place: b[i] is read before y[i] overwrites it, and b[k] for k < i
+  // already holds y[k].
   for (size_t i = 0; i < n; ++i) {
     double sum = b[i];
-    for (size_t k = 0; k < i; ++k) sum -= l_(i, k) * y[k];
-    y[i] = sum / l_(i, i);
+    for (size_t k = 0; k < i; ++k) sum -= l_(i, k) * b[k];
+    b[i] = sum / l_(i, i);
   }
-  return y;
+  return b;
 }
 
 Vector Cholesky::Solve(const Vector& b) const {

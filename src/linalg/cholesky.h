@@ -33,8 +33,9 @@ class Cholesky {
   // Solve A x = b via forward/back substitution. The back-substitution
   // half accumulates k terms in strictly decreasing order (bottom-up).
   Vector Solve(const Vector& b) const;
-  // Solve L y = b (forward substitution only, ascending k).
-  Vector SolveLower(const Vector& b) const;
+  // Solve L y = b (forward substitution only, ascending k). Works in place
+  // in `b`, so a caller that moves its vector in allocates nothing.
+  Vector SolveLower(Vector b) const;
   // Solve L Y = B for all columns of B at once (forward substitution on
   // column blocks, no per-column copies). Column j of the result equals
   // SolveLower(column j of B) bit-for-bit; `num_threads` splits the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -192,8 +193,8 @@ Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
   Vector kstar(n);
   for (size_t i = 0; i < n; ++i) kstar[i] = kernel_.Eval(x_[i], x);
   double mean_std = Dot(kstar, alpha_);
-  // v = L^-1 k*; var = k** - v'v.
-  Vector v = chol_->SolveLower(kstar);
+  // v = L^-1 k*, solved in k*'s own storage; var = k** - v'v.
+  Vector v = chol_->SolveLower(std::move(kstar));
   double kss = kernel_.Eval(x, x) + kernel_.params().noise_variance;
   double var_std = kss - Dot(v, v);
   var_std = std::max(var_std, 1e-12);

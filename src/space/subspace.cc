@@ -41,26 +41,6 @@ Configuration Subspace::Sample(Rng* rng) const {
   return c;
 }
 
-Configuration Subspace::FromFreeUnit(const std::vector<double>& u) const {
-  assert(u.size() == free_.size());
-  Configuration c = base_;
-  for (size_t k = 0; k < free_.size(); ++k) {
-    size_t idx = static_cast<size_t>(free_[k]);
-    c[idx] = space_->param(idx).FromUnit(u[k]);
-  }
-  return c;
-}
-
-std::vector<double> Subspace::ToFreeUnit(const Configuration& c) const {
-  assert(c.size() == space_->size());
-  std::vector<double> u(free_.size());
-  for (size_t k = 0; k < free_.size(); ++k) {
-    size_t idx = static_cast<size_t>(free_[k]);
-    u[k] = space_->param(idx).ToUnit(c[idx]);
-  }
-  return u;
-}
-
 Configuration Subspace::Neighbor(const Configuration& c, double sigma,
                                  Rng* rng) const {
   // Every free dim goes through the unit codec, perturbed or not; pinned

@@ -29,12 +29,6 @@ class Subspace {
   // Uniform random sample: free dims random, pinned dims from base.
   Configuration Sample(Rng* rng) const;
 
-  // Embed a unit-cube point over the free dims (size num_free()) into a
-  // full configuration.
-  Configuration FromFreeUnit(const std::vector<double>& u) const;
-  // Extract the free-dim unit coordinates of a full configuration.
-  std::vector<double> ToFreeUnit(const Configuration& c) const;
-
   // Gaussian perturbation of `c` in unit space over free dims only
   // (stddev `sigma`), legalized; used by local acquisition search. With
   // probability 1/num_free each dimension is perturbed (at least one).

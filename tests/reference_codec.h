@@ -5,7 +5,10 @@
 //   * ToUnit / FromUnit: the closed-form log-scale unit codec, recomputing
 //     log(lo) and log(hi) on every call;
 //   * EncodeFeatures: the unit vector followed by a separately built
-//     context vector, the composition Advisor::Encode replaces.
+//     context vector, the composition Advisor::Encode replaces;
+//   * Neighbor: Subspace::Neighbor through a free-dim unit vector
+//     (encode all free dims, perturb, decode all), which the in-place
+//     Subspace::Neighbor replaces.
 // Header-only; shared by tests/sparksim_test.cc, tests/space_test.cc and
 // bench/bench_kernels.cpp (the resource_rate and encode kernels). Nothing
 // in src/ uses it.
@@ -15,7 +18,9 @@
 #include <cmath>
 #include <vector>
 
+#include "common/rng.h"
 #include "space/config_space.h"
+#include "space/subspace.h"
 #include "sparksim/spark_conf.h"
 
 namespace sparktune::reference {
@@ -126,6 +131,36 @@ inline std::vector<double> EncodeFeatures(
   }
   features.insert(features.end(), context.begin(), context.end());
   return features;
+}
+
+inline Configuration Neighbor(const Subspace& sub, const Configuration& c,
+                              double sigma, Rng* rng) {
+  const ConfigSpace& space = sub.space();
+  const std::vector<int>& free = sub.free_indices();
+  std::vector<double> u(free.size());
+  for (size_t k = 0; k < free.size(); ++k) {
+    const size_t idx = static_cast<size_t>(free[k]);
+    u[k] = ToUnit(space.param(idx), c[idx]);
+  }
+  bool changed = false;
+  double p_mutate = free.empty() ? 0.0 : 1.0 / static_cast<double>(free.size());
+  for (size_t k = 0; k < u.size(); ++k) {
+    if (rng->Bernoulli(p_mutate)) {
+      u[k] = std::clamp(u[k] + rng->Normal(0.0, sigma), 0.0, 1.0);
+      changed = true;
+    }
+  }
+  if (!changed && !u.empty()) {
+    size_t k = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(u.size()) - 1));
+    u[k] = std::clamp(u[k] + rng->Normal(0.0, sigma), 0.0, 1.0);
+  }
+  Configuration out = sub.base();
+  for (size_t k = 0; k < free.size(); ++k) {
+    const size_t idx = static_cast<size_t>(free[k]);
+    out[idx] = FromUnit(space.param(idx), u[k]);
+  }
+  return out;
 }
 
 }  // namespace sparktune::reference

@@ -223,15 +223,32 @@ TEST(SubspaceTest, ProjectOverwritesPinnedDims) {
   EXPECT_DOUBLE_EQ(proj[3], base[3]);
 }
 
-TEST(SubspaceTest, FreeUnitRoundTrip) {
+TEST(SubspaceTest, NeighborMatchesUnitVectorReference) {
+  // Neighbor perturbs the free dims in place; it must reproduce the
+  // encode-perturb-decode reference bit for bit and draw the same random
+  // numbers, including the forced move when no dim was picked.
   ConfigSpace s = SmallSpace();
-  Subspace sub(&s, {0, 2}, s.Default());
-  std::vector<double> u = {0.5, 0.9};
-  Configuration c = sub.FromFreeUnit(u);
-  std::vector<double> back = sub.ToFreeUnit(c);
-  ASSERT_EQ(back.size(), 2u);
-  // Categorical buckets quantize; numeric should round-trip closely.
-  EXPECT_NEAR(back[0], u[0], 0.01);
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  Rng sampler(17);
+  for (const std::vector<int>& free :
+       {std::vector<int>{0, 1, 2, 3}, std::vector<int>{0, 2},
+        std::vector<int>{1}, std::vector<int>{}}) {
+    Subspace sub(&s, free, s.Sample(&sampler));
+    for (double sigma : {0.05, 0.3, 2.0}) {
+      Rng rng(41), ref_rng(41);
+      for (int k = 0; k < 200; ++k) {
+        Configuration c = s.Sample(&sampler);
+        Configuration got = sub.Neighbor(c, sigma, &rng);
+        Configuration want = reference::Neighbor(sub, c, sigma, &ref_rng);
+        for (size_t i = 0; i < s.size(); ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want[i]))
+              << "free dims " << free.size() << " sigma " << sigma
+              << " draw " << k << " dim " << i;
+        }
+      }
+      EXPECT_EQ(rng.Next(), ref_rng.Next());
+    }
+  }
 }
 
 }  // namespace
